@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, extract, label, train, eval, explain, report.
 
 Every artifact embeds the effective configuration hash and seed, and every
-stage is deterministic for a fixed configuration, so reruns are byte-identical.
+stage is deterministic for a fixed configuration, so reruns are byte-identical,
+except eval reports, which embed the measured prediction time.
 
 Exit codes: 0 ok, 2 input error, 3 consistency error (column fingerprint
 mismatches), 1 internal error. Seed precedence: --seed flag, then the config

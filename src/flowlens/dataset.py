@@ -243,14 +243,6 @@ class MinMaxScaler:
         return out
 
 
-def fit_minmax(train_rows: np.ndarray) -> MinMaxScaler:
-    return MinMaxScaler.fit(train_rows)
-
-
-def apply_minmax(scaler: MinMaxScaler, rows: np.ndarray) -> np.ndarray:
-    return scaler.transform(rows)
-
-
 def kfold_split(
     labels: np.ndarray | list[int], k: int = 5, seed: int = 0
 ) -> list[tuple[np.ndarray, np.ndarray]]:

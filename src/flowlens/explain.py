@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -78,10 +77,6 @@ class CoalitionValueFunction:
 
     def full_value(self) -> float:
         return float(self.predict(self.x.reshape(1, -1))[0])
-
-
-def coalition_value(vf: CoalitionValueFunction, subset: Sequence[int]) -> float:
-    return vf.value(subset)
 
 
 @dataclass
@@ -262,30 +257,21 @@ def _indicator_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Shapley values of the indicator game u(S) = [X in S and B disjoint S].
 
     ``table_x[a, c]`` is the value of each member of X when |X|=a, |B|=c;
-    ``table_b[a, c]`` the (negative) value of each member of B. Computed with
-    exact rational arithmetic, returned as floats.
+    ``table_b[a, c]`` the (negative) value of each member of B. Players
+    outside X and B are dummies, so the values depend on a and c only:
+    (a-1)! c! / (a+c)! and -a! (c-1)! / (a+c)!. Each entry is one division of
+    exact integers, which Python rounds correctly, so it is the float nearest
+    the exact rational value. Entries with a + c > p stay 0.
     """
-    fact = [Fraction(math.factorial(i)) for i in range(p + 1)]
-    fp = fact[p]
-
-    def w(s: int) -> Fraction:
-        return fact[s] * fact[p - s - 1] / fp
-
+    fact = [math.factorial(i) for i in range(p + 1)]
     table_x = np.zeros((p + 1, p + 1))
     table_b = np.zeros((p + 1, p + 1))
     for a in range(p + 1):
         for c in range(p + 1 - a):
-            free = p - a - c
             if a >= 1:
-                acc = Fraction(0)
-                for m in range(free + 1):
-                    acc += math.comb(free, m) * w(a - 1 + m)
-                table_x[a, c] = float(acc)
+                table_x[a, c] = fact[a - 1] * fact[c] / fact[a + c]
             if c >= 1:
-                acc = Fraction(0)
-                for m in range(free + 1):
-                    acc += math.comb(free, m) * w(a + m)
-                table_b[a, c] = float(-acc)
+                table_b[a, c] = -(fact[a] * fact[c - 1] / fact[a + c])
     return table_x, table_b
 
 

@@ -58,16 +58,6 @@ class DecisionTree:
             idx[rows] = np.where(go_left, self.left[cur], self.right[cur])
         return self.prob[idx]
 
-    def leaf_for(self, x, nodes=None) -> int:
-        i = 0
-        feature = self.feature if nodes is None else nodes[0]
-        threshold = self.threshold if nodes is None else nodes[1]
-        left = self.left if nodes is None else nodes[2]
-        right = self.right if nodes is None else nodes[3]
-        while feature[i] >= 0:
-            i = left[i] if x[feature[i]] <= threshold[i] else right[i]
-        return i
-
 
 class _TreeBuilder:
     def __init__(self, X: np.ndarray, y: np.ndarray, params: TreeParams, rng: np.random.Generator):

@@ -3,7 +3,8 @@
 The reader accepts the classic microsecond format in either byte order as
 well as the nanosecond variant, and decodes IPv4 TCP, UDP, and ICMP packets
 into :class:`PacketRecord`. Anything else (ARP, IPv6, other IP protocols,
-truncated records) is skipped and counted, never raised.
+truncated records, header lengths that contradict each other) is skipped and
+counted, never raised.
 """
 
 from __future__ import annotations
@@ -173,6 +174,9 @@ def _decode_ipv4(ts: int, data: bytes, stats: ParseStats) -> PacketRecord | None
         sport, dport = struct.unpack(">HH", l4[0:4])
         offset_flags = struct.unpack(">H", l4[12:14])[0]
         l4_len = (offset_flags >> 12) * 4
+        if l4_len < 20:
+            stats.skip("bad_tcp_offset")
+            return None
         flags = offset_flags & 0xFF
         window = struct.unpack(">H", l4[14:16])[0]
     elif protocol == PROTO_UDP:
@@ -191,7 +195,10 @@ def _decode_ipv4(ts: int, data: bytes, stats: ParseStats) -> PacketRecord | None
         stats.skip("unsupported_protocol")
         return None
 
-    payload = max(0, total_len - ihl - l4_len)
+    if total_len < ihl + l4_len:
+        stats.skip("short_ip_total_len")
+        return None
+    payload = total_len - ihl - l4_len
     return PacketRecord(
         ts_micros=ts,
         src_ip=src,

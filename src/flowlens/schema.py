@@ -123,13 +123,3 @@ def load_schema(name: str) -> FeatureSchema:
         raise SchemaError(f"unknown schema {name!r}; known: {sorted(_MANIFEST_FILES)}")
     ref = resources.files("flowlens.schemas").joinpath(_MANIFEST_FILES[key])
     return _parse_manifest(ref.read_text(encoding="utf-8"), key)
-
-
-def manifest_text(name: str) -> str:
-    """Raw manifest contents, e.g. for writing next to extracted CSVs."""
-    alias = {"netflow_v2": NETFLOW_V2, "cic": CIC}
-    key = alias.get(name, name)
-    if key not in _MANIFEST_FILES:
-        raise SchemaError(f"unknown schema {name!r}")
-    ref = resources.files("flowlens.schemas").joinpath(_MANIFEST_FILES[key])
-    return ref.read_text(encoding="utf-8")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flowlens.explain import (CoalitionValueFunction, FingerprintMismatch,
-                              coalition_value, exact_shapley, explain_samples,
+                              _indicator_tables, exact_shapley, explain_samples,
                               global_ranking, kernel_shap, tree_shap)
 from flowlens.forest import Forest, ForestParams, train_forest
 from test_forest import make_stump
@@ -58,21 +58,21 @@ def test_full_coalition_is_model_prediction():
     x = np.array([0.1, 0.2, 0.3])
     B = RNG.random((5, 3))
     vf = CoalitionValueFunction(model, x, B)
-    assert coalition_value(vf, [0, 1, 2]) == pytest.approx(model(x.reshape(1, -1))[0])
+    assert vf.value([0, 1, 2]) == pytest.approx(model(x.reshape(1, -1))[0])
 
 
 def test_empty_coalition_is_background_prediction():
     model = linear_model([2.0, -1.0])
     b = np.array([[0.4, 0.7]])
     vf = CoalitionValueFunction(model, np.array([1.0, 1.0]), b)
-    assert coalition_value(vf, []) == pytest.approx(model(b)[0])
+    assert vf.value([]) == pytest.approx(model(b)[0])
     assert vf.base_value() == pytest.approx(model(b)[0])
 
 
 def test_additive_model_single_feature_substitution():
     model = linear_model([1.0, 1.0])
     vf = CoalitionValueFunction(model, np.array([1.0, 1.0]), np.array([[0.0, 0.0]]))
-    assert coalition_value(vf, [0]) == pytest.approx(1.0)
+    assert vf.value([0]) == pytest.approx(1.0)
 
 
 def test_empty_background_rejected():
@@ -186,6 +186,35 @@ def test_kernel_deterministic_per_seed():
 
 
 # --- tree method --------------------------------------------------------------------
+
+def test_indicator_tables_match_exact_indicator_game():
+    # u(S) = [X in S and B disjoint S] with X = features 0..a-1 and B the next
+    # c features: x = ones against one all-zero background row turns the model
+    # prod_X z * prod_B (1 - z) into exactly that game.
+    for p in range(1, 9):
+        table_x, table_b = _indicator_tables(p)
+        for a in range(p + 1):
+            for c in range(p + 1 - a):
+                X, B = slice(0, a), slice(a, a + c)
+
+                def model(Z, X=X, B=B):
+                    return np.prod(Z[:, X], axis=1) * np.prod(1.0 - Z[:, B], axis=1)
+
+                vf = CoalitionValueFunction(model, np.ones(p), np.zeros((1, p)))
+                phi = exact_shapley(vf).phi
+                assert np.all(np.abs(phi[X] - table_x[a, c]) <= 1e-12)
+                assert np.all(np.abs(phi[B] - table_b[a, c]) <= 1e-12)
+                assert np.all(np.abs(phi[a + c:]) <= 1e-12)
+
+
+def test_indicator_tables_do_not_depend_on_width():
+    small_x, small_b = _indicator_tables(8)
+    wide_x, wide_b = _indicator_tables(77)  # cic learnable width
+    for a in range(9):
+        for c in range(9 - a):
+            assert wide_x[a, c] == small_x[a, c]
+            assert wide_b[a, c] == small_b[a, c]
+
 
 def test_constant_tree_gives_zero_attributions():
     from test_forest import _constant_tree

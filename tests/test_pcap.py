@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from flowlens.cli import main
 from flowlens.pcap import (ParseStats, PcapFormatError, SYN, parse_pcap,
                            write_pcap)
 from conftest import (MAGIC_BE_MICROS, MAGIC_LE_MICROS, MAGIC_LE_NANOS,
@@ -136,3 +137,28 @@ def test_writer_output_parses_back_identically():
     stats = ParseStats()
     assert parse_pcap(buf, stats) == packets
     assert stats.skipped == 0
+
+
+@pytest.mark.parametrize("bad_ip, reason", [
+    # IPv4 total length 19, shorter than the 20-byte IP + 20-byte TCP headers
+    (raw_ipv4("10.0.0.1", "10.0.0.2", 6, 64, raw_tcp(1, 2, SYN, 0), total_len=19),
+     "short_ip_total_len"),
+    # TCP data offset of 4 words: a 16-byte header, below the 20-byte minimum
+    (raw_ipv4("10.0.0.1", "10.0.0.2", 6, 64, raw_tcp(1, 2, SYN, 0, offset_words=4)),
+     "bad_tcp_offset"),
+])
+def test_inconsistent_header_lengths_skipped(tmp_path, bad_ip, reason):
+    good = raw_ethernet(0x0800, raw_ipv4("10.0.0.3", "10.0.0.4", 17, 64,
+                                         raw_udp(5353, 53, b"ab")))
+    data = (pcap_global_header() + pcap_record(0, 0, raw_ethernet(0x0800, bad_ip))
+            + pcap_record(0, 1, good))
+    records, stats = parse_bytes(data)
+    assert [r.src_ip for r in records] == ["10.0.0.3"]
+    assert stats.reasons == {reason: 1}
+
+    pcap = tmp_path / "bad.pcap"
+    pcap.write_bytes(data)
+    out = tmp_path / "bad.csv"
+    assert main(["extract", "--pcap", str(pcap), "--schema", "netflow_v2",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3  # provenance, header, one flow
