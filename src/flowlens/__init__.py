@@ -8,8 +8,8 @@ from .evaluation import (ConfusionMatrix, EvaluationReport, ModelSpec,
                          binary_metrics, crossval_evaluate,
                          measure_prediction_time, roc_auc)
 from .explain import (CoalitionValueFunction, Explanation, GlobalRanking,
-                      exact_shapley, explain_samples, global_ranking,
-                      kernel_shap, tree_shap)
+                      compile_tree_shap, exact_shapley, explain_samples,
+                      global_ranking, kernel_shap, tree_shap)
 from .features import compute_cic_features, compute_features, compute_netflow_features
 from .flows import FlowKey, FlowRecord, assemble_flows
 from .forest import Forest, ForestParams, train_forest
@@ -27,7 +27,7 @@ __all__ = [
     "Forest", "ForestParams", "GlobalRanking", "GroundTruthEvent",
     "LabeledDataset", "MinMaxScaler", "Mlp", "MlpParams", "ModelSpec",
     "PacketRecord", "ParseStats", "ScenarioParams", "assemble_flows",
-    "binary_metrics", "compute_cic_features",
+    "binary_metrics", "compile_tree_shap", "compute_cic_features",
     "compute_features", "compute_netflow_features", "crossval_evaluate",
     "drop_identifiers", "exact_shapley", "explain_samples", "generate_scenario",
     "global_ranking", "kernel_shap", "kfold_split", "label_flows",

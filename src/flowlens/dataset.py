@@ -8,15 +8,19 @@ may start with one ``#`` provenance line, which readers skip.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .flows import FlowRecord
 from .schema import CIC, NETFLOW_V2, FeatureSchema, SchemaError, load_schema
-from .util import format_value, meta_line, parse_meta_line, parse_value
+from .util import format_value, meta_line, parse_meta_line
 
 BENIGN = "Benign"
 
@@ -49,9 +53,10 @@ class FeatureTable:
 
     def learnable_matrix(self) -> np.ndarray:
         idx = self.schema.learnable_indices
-        return np.array(
-            [[float(row[j]) for j in idx] for row in self.rows], dtype=float
-        ).reshape(len(self.rows), len(idx))
+        rows = self.rows
+        if len(idx) != self.schema.width():
+            rows = [[row[j] for j in idx] for row in rows]
+        return np.array(rows, dtype=float).reshape(len(self.rows), len(idx))
 
 
 @dataclass
@@ -308,7 +313,10 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list], meta: dict
             writer.writerow([format_value(v) for v in row])
 
 
-def _read_csv(path: str | Path) -> tuple[list[str], list[list], dict]:
+@contextmanager
+def _open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list[str]]]]:
+    """The header, the fields of the provenance line, and a reader of the
+    remaining rows as lists of cell strings."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         meta: dict = {}
@@ -317,10 +325,102 @@ def _read_csv(path: str | Path) -> tuple[list[str], list[list], dict]:
             first = fh.readline()
         if not first:
             raise SchemaError(f"{path}: empty CSV")
-        reader = csv.reader([first.rstrip("\n")])
-        header = next(reader)
-        rows = [[parse_value(cell) for cell in row] for row in csv.reader(fh)]
-    return header, rows, meta
+        header = next(csv.reader([first.rstrip("\n")]))
+        yield header, meta, csv.reader(fh)
+
+
+def _check_widths(path: str | Path, header: list[str], rows: list[list[str]], first_row: int = 0):
+    for r, row in enumerate(rows, first_row + 1):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
+
+
+# From this magnitude on, a float no longer holds every integer exactly.
+_FLOAT_EXACT = 2.0**53
+
+
+def _number(cell: str):
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+def _parse_column(cells: tuple[str, ...]) -> list:
+    """Ints if every cell is one; else numbers if every cell is one, with
+    integral values as ints (as the writer wrote them); else the strings. A
+    column reaching 2**53 is parsed cell by cell, so that its integer cells
+    keep their exact value."""
+    try:
+        return list(map(int, cells))
+    except ValueError:
+        pass
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return list(cells)
+    if values and max(map(abs, values)) >= _FLOAT_EXACT:
+        return [_number(c) for c in cells]
+    return [int(v) if v.is_integer() else v for v in values]
+
+
+def _is_finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _number_column(path: str | Path, name: str, cells: tuple[str, ...], first_row: int) -> list:
+    """A column that must hold finite numbers. Any other cell is an input
+    error that names its row and column."""
+    values = _parse_column(cells)
+    try:
+        if all(map(math.isfinite, values)):
+            return values
+    except (TypeError, OverflowError):  # a string, or an int past the float range
+        pass
+    r, cell = next((r, c) for r, c in enumerate(cells, first_row + 1)
+                   if not _is_finite_number(c))
+    raise SchemaError(f"{path}: row {r}, column {name!r}: {cell!r} is not a finite number")
+
+
+# Rows parsed together: bounds how many cell strings are held at once.
+_CHUNK_ROWS = 256
+
+
+def _text_columns(schema: FeatureSchema) -> set[int]:
+    return {j for j, c in enumerate(schema.columns) if c.unit == "text"}
+
+
+def _typed_rows(
+    path: str | Path,
+    header: list[str],
+    reader: Iterator[list[str]],
+    numeric: set[int],
+    text: set[int],
+    width: int,
+) -> tuple[list[list], list[list]]:
+    """Rows of the first ``width`` columns, and the cells of each column after
+    them, typed a column at a time in chunks of rows: ``numeric`` columns
+    must hold finite numbers, ``text`` columns stay strings, and the others
+    become numbers where every cell is one."""
+    rows: list[list] = []
+    tail: list[list] = [[] for _ in header[width:]]
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        _check_widths(path, header, chunk, len(rows))
+        columns = []
+        for j, cells in enumerate(zip(*chunk)):
+            if j in numeric:
+                columns.append(_number_column(path, header[j], cells, len(rows)))
+            elif j in text:
+                columns.append(cells)
+            else:
+                columns.append(_parse_column(cells))
+        rows += map(list, zip(*columns[:width]))
+        for cells, typed in zip(tail, columns[width:]):
+            cells += typed
+    return rows, tail
 
 
 def _schema_for_header(header: list[str]) -> tuple[FeatureSchema, bool]:
@@ -338,34 +438,44 @@ def _schema_for_header(header: list[str]) -> tuple[FeatureSchema, bool]:
 
 
 def read_feature_csv(path: str | Path) -> tuple[FeatureTable, dict]:
-    header, rows, meta = _read_csv(path)
-    schema, labeled = _schema_for_header(header)
-    if labeled:
-        raise SchemaError(f"{path}: labeled CSV passed where features expected")
+    with _open_csv(path) as (header, meta, reader):
+        schema, labeled = _schema_for_header(header)
+        if labeled:
+            raise SchemaError(f"{path}: labeled CSV passed where features expected")
+        rows, _ = _typed_rows(path, header, reader, set(schema.learnable_indices),
+                              _text_columns(schema), schema.width())
     return FeatureTable(schema, rows), meta
 
 
 def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
-    header, rows, meta = _read_csv(path)
-    schema, labeled = _schema_for_header(header)
-    if not labeled:
-        raise SchemaError(f"{path}: CSV has no {LABEL_COLUMN}/{CATEGORY_COLUMN} columns")
-    table = FeatureTable(schema, [row[:-2] for row in rows])
-    labels = [int(row[-2]) for row in rows]
-    categories = [str(row[-1]) for row in rows]
-    return LabeledDataset(table, labels, categories), meta
+    with _open_csv(path) as (header, meta, reader):
+        schema, labeled = _schema_for_header(header)
+        if not labeled:
+            raise SchemaError(f"{path}: CSV has no {LABEL_COLUMN}/{CATEGORY_COLUMN} columns")
+        width = schema.width()  # the label and category columns follow
+        rows, (labels, categories) = _typed_rows(
+            path, header, reader, {*schema.learnable_indices, width},
+            _text_columns(schema) | {width + 1}, width)
+    bad = next((r for r, v in enumerate(labels, 1) if v not in (0, 1)), None)
+    if bad is not None:
+        raise SchemaError(f"{path}: row {bad}, column {LABEL_COLUMN!r}: label must be 0 or 1")
+    try:
+        return LabeledDataset(FeatureTable(schema, rows), labels, categories), meta
+    except ValueError as exc:  # a label that disagrees with its category
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def read_events_csv(path: str | Path) -> list[GroundTruthEvent]:
     """Ground truth CSV: src_ip,dst_ip,protocol,start_ts,end_ts,category.
     Empty cells are wildcards; timestamps are integer microseconds."""
-    header, rows, _ = _read_csv(path)
+    with _open_csv(path) as (header, _, reader):
+        rows = list(reader)
     expected = ["src_ip", "dst_ip", "protocol", "start_ts", "end_ts", "category"]
     if header != expected:
         raise SchemaError(f"{path}: ground truth header must be {expected}")
+    _check_widths(path, header, rows)
     events = []
-    for row in rows:
-        src, dst, proto, start, end, cat = (str(c) if c != "" else "" for c in row)
+    for src, dst, proto, start, end, cat in rows:
         events.append(
             GroundTruthEvent(
                 src_ip=src or None,

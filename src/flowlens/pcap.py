@@ -1,8 +1,8 @@
 """Reading and writing pcap capture files (Ethernet link layer, IPv4 only).
 
 The reader accepts the classic microsecond format in either byte order as
-well as the nanosecond variant, and decodes IPv4 TCP, UDP, and ICMP packets
-into :class:`PacketRecord`. Anything else (ARP, IPv6, other IP protocols,
+well as the nanosecond variant, and decodes IPv4 TCP, UDP, and ICMP packets,
+untagged or under one 802.1Q VLAN tag, into :class:`PacketRecord`. Anything else (ARP, IPv6, other IP protocols,
 truncated records, header lengths that contradict each other) is skipped and
 counted, never raised.
 """
@@ -29,6 +29,7 @@ PROTO_UDP = 17
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_IPV6 = 0x86DD
+ETHERTYPE_VLAN = 0x8100  # 802.1Q tag: 4 more bytes, then the inner ethertype
 LINKTYPE_ETHERNET = 1
 
 _MAGIC_MICROS = 0xA1B2C3D4
@@ -135,13 +136,20 @@ def _decode_ethernet(ts: int, frame: bytes, stats: ParseStats) -> PacketRecord |
         stats.skip("short_frame")
         return None
     ethertype = struct.unpack(">H", frame[12:14])[0]
+    header_len = 14
+    if ethertype == ETHERTYPE_VLAN:
+        if len(frame) < 18:
+            stats.skip("short_frame")
+            return None
+        ethertype = struct.unpack(">H", frame[16:18])[0]
+        header_len = 18
     if ethertype == ETHERTYPE_IPV6:
         stats.skip("ipv6")
         return None
     if ethertype != ETHERTYPE_IPV4:
         stats.skip("non_ipv4")
         return None
-    return _decode_ipv4(ts, frame[14:], stats)
+    return _decode_ipv4(ts, frame[header_len:], stats)
 
 
 def _decode_ipv4(ts: int, data: bytes, stats: ParseStats) -> PacketRecord | None:

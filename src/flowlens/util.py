@@ -21,19 +21,7 @@ def format_value(v) -> str:
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     s = f"{f:.6f}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-") else "0"
-
-
-def parse_value(s: str):
-    """Inverse of :func:`format_value` for numeric cells; strings pass through."""
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        return s
+    return "0" if s == "-0" else s  # a negative value that rounds to zero
 
 
 def config_hash(config: dict) -> str:

@@ -220,3 +220,21 @@ def test_every_cli_flag_appears_in_help():
             for opt in action.option_strings:
                 if opt.startswith("--"):
                     assert opt in text
+
+
+@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
+def test_bad_learnable_cell_exits_2_naming_it(pipeline, tmp_path, capsys, cell):
+    lines = pipeline["labeled"]["netflow_v2"].read_text().splitlines(keepends=True)
+    column = "IN_BYTES"
+    j = lines[1].rstrip("\n").split(",").index(column)
+    cells = lines[4].rstrip("\n").split(",")  # provenance, header, then data row 3
+    cells[j] = cell
+    lines[4] = ",".join(cells) + "\n"
+    bad = tmp_path / "bad_cell.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--data", str(bad), "--model", "rf", "--trees", "2",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "row 3" in err and repr(column) in err and repr(cell) in err
+    assert not (tmp_path / "m.json").exists()

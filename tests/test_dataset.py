@@ -9,7 +9,7 @@ from flowlens.dataset import (BENIGN, FeatureTable, GroundTruthEvent,
                               label_table, read_labeled_csv, write_labeled_csv)
 from flowlens.features import compute_features
 from flowlens.flows import assemble_flows
-from flowlens.schema import load_schema
+from flowlens.schema import SchemaError, load_schema
 from conftest import udp_packet
 
 CIC = load_schema("cic")
@@ -202,3 +202,16 @@ def test_labeled_csv_round_trip(tmp_path):
     raw = path.read_text().splitlines()
     assert raw[0].startswith("#")
     assert raw[1].split(",")[-2:] == ["Label", "Attack"]
+
+
+@pytest.mark.parametrize("label", ["0.7", "2", "-1"])
+def test_label_outside_0_1_rejected(tmp_path, label):
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(path, _tiny_labeled())
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[1].rstrip("\n").split(",")  # no provenance line: header, then rows
+    cells[-2] = label
+    lines[1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError, match=r"row 1, column 'Label'"):
+        read_labeled_csv(path)

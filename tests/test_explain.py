@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+import flowlens.explain as explain_mod
 from flowlens.explain import (CoalitionValueFunction, FingerprintMismatch,
-                              _indicator_tables, exact_shapley, explain_samples,
-                              global_ranking, kernel_shap, tree_shap)
-from flowlens.forest import Forest, ForestParams, train_forest
-from test_forest import make_stump
+                              _indicator_tables, compile_tree_shap, exact_shapley,
+                              explain_samples, global_ranking, kernel_shap, tree_shap)
+from flowlens.forest import DecisionTree, Forest, ForestParams, train_forest
+from test_forest import _constant_tree, make_stump
 
 RNG = np.random.Generator(np.random.PCG64(2024))
 
@@ -305,6 +306,141 @@ def test_repeated_feature_along_path():
     exact = exact_shapley(vf)
     tree_e = tree_shap(forest, x, B)
     assert np.max(np.abs(tree_e.phi - exact.phi)) <= 1e-12
+
+
+def loop_tree_shap(forest, x, B):
+    """Reference: interventional tree SHAP as a plain loop over trees, leaves,
+    background rows and path conditions, without merged intervals."""
+    table_x, table_b = _indicator_tables(forest.n_features)
+    phi = np.zeros(forest.n_features)
+    for tree in forest.trees:
+        stack = [(0, [])]
+        while stack:
+            node, conds = stack.pop()
+            f = int(tree.feature[node])
+            if f >= 0:
+                thr = float(tree.threshold[node])
+                stack.append((int(tree.left[node]), conds + [(f, thr, True)]))
+                stack.append((int(tree.right[node]), conds + [(f, thr, False)]))
+                continue
+            feats = sorted({g for g, _, _ in conds})
+
+            def follows(row, g, conds=conds):
+                return all((row[g] <= thr) == left for h, thr, left in conds if h == g)
+
+            for b in B:
+                x_ok = {g: follows(x, g) for g in feats}
+                b_ok = {g: follows(b, g) for g in feats}
+                if any(not x_ok[g] and not b_ok[g] for g in feats):
+                    continue
+                xs = [g for g in feats if x_ok[g] and not b_ok[g]]
+                bs = [g for g in feats if b_ok[g] and not x_ok[g]]
+                for g in xs:
+                    phi[g] += tree.prob[node] * table_x[len(xs), len(bs)]
+                for g in bs:
+                    phi[g] += tree.prob[node] * table_b[len(xs), len(bs)]
+    return phi / (len(B) * len(forest.trees))
+
+
+def repeated_split_forest():
+    """Three trees over 3 features. The first splits twice on feature 0 along
+    two of its paths. The second repeats splits on feature 2 that its path
+    already decides, one on each side, so two of its leaves are out of reach
+    (0.7 < z2 <= 0.6 and 0.6 < z2 <= 0.3). The third is a single leaf."""
+    nested = DecisionTree(
+        feature=np.array([0, 1, 0, -1, -1, -1, 0, 2, -1, -1, -1]),
+        threshold=np.array([0.5, 0.3, 0.2, 0, 0, 0, 0.8, 0.4, 0, 0, 0]),
+        left=np.array([1, 2, 3, -1, -1, -1, 7, 8, -1, -1, -1]),
+        right=np.array([6, 5, 4, -1, -1, -1, 10, 9, -1, -1, -1]),
+        count=np.ones(11, dtype=np.int64),
+        prob=np.array([0.5, 0.5, 0.5, 0.1, 0.7, 0.3, 0.5, 0.5, 0.9, 0.2, 0.6]),
+    )
+    redundant = DecisionTree(
+        feature=np.array([2, 2, -1, -1, 2, -1, 1, -1, -1]),
+        threshold=np.array([0.6, 0.7, 0, 0, 0.3, 0, 0.5, 0, 0]),
+        left=np.array([1, 2, -1, -1, 5, -1, 7, -1, -1]),
+        right=np.array([4, 3, -1, -1, 6, -1, 8, -1, -1]),
+        count=np.ones(9, dtype=np.int64),
+        prob=np.array([0.5, 0.5, 0.25, 0.95, 0.5, 0.05, 0.5, 0.4, 0.8]),
+    )
+    return Forest(trees=[nested, redundant, _constant_tree(0.35)],
+                  params=ForestParams(n_trees=3), n_features=3)
+
+
+def test_repeated_splits_and_constant_tree_match_exact():
+    forest = repeated_split_forest()
+    # values on and around every threshold: a row equal to one goes left
+    grid = np.array([0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.8, 0.95])
+    for _ in range(30):
+        x = RNG.choice(grid, size=3)
+        B = RNG.choice(grid, size=(int(RNG.integers(1, 6)), 3))
+        exact = exact_shapley(CoalitionValueFunction(forest.predict_proba, x, B))
+        tree = tree_shap(forest, x, B)
+        assert np.max(np.abs(tree.phi - exact.phi)) <= 1e-9
+        assert tree.additivity_gap() <= 1e-9
+        assert np.max(np.abs(tree.phi - loop_tree_shap(forest, x, B))) <= 1e-12
+
+
+def test_deep_trees_on_few_features_match_exact():
+    # depth 8 over 2-3 features: most paths split on a feature more than once
+    for _ in range(10):
+        forest, x, B = random_forest_instance(RNG, p=int(RNG.integers(2, 4)), depth=8)
+        exact = exact_shapley(CoalitionValueFunction(forest.predict_proba, x, B))
+        assert np.max(np.abs(tree_shap(forest, x, B).phi - exact.phi)) <= 1e-9
+
+
+def test_wide_forest_matches_loop_reference():
+    # beyond exact enumeration: 30 features, against the plain loop
+    for _ in range(3):
+        forest, x, B = random_forest_instance(RNG, p=30, n_trees=3, depth=8, nb=10)
+        tree = tree_shap(forest, x, B)
+        assert np.max(np.abs(tree.phi - loop_tree_shap(forest, x, B))) <= 1e-12
+        assert tree.additivity_gap() <= 1e-9
+
+
+def test_shared_plan_gives_same_phi():
+    forest, _, B = random_forest_instance(RNG, p=6, n_trees=5, depth=4, nb=7)
+    plan = compile_tree_shap(forest, B)
+    for x in RNG.random((4, 6)):
+        own = tree_shap(forest, x, B)
+        shared = tree_shap(forest, x, B, plan=plan)
+        assert np.array_equal(own.phi, shared.phi)
+        assert own.base_value == shared.base_value
+        assert own.predicted == shared.predicted
+
+
+def test_blocks_do_not_change_phi(monkeypatch):
+    forest, _, B = random_forest_instance(RNG, p=8, n_trees=6, depth=5, nb=9)
+    X = RNG.random((3, 8))
+    whole = [tree_shap(forest, x, B).phi for x in X]
+    monkeypatch.setattr(explain_mod, "_BLOCK_ELEMENTS", 1)  # one path per block
+    for x, phi in zip(X, whole):
+        assert np.max(np.abs(tree_shap(forest, x, B).phi - phi)) <= 1e-15
+
+
+def test_explain_samples_calls_tree_shap_once_per_row(monkeypatch):
+    forest, _, B = random_forest_instance(RNG, p=5, n_trees=3, depth=3, nb=4)
+    X = RNG.random((6, 5))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("plan"))
+        return tree_shap(*args, **kwargs)
+
+    monkeypatch.setattr(explain_mod, "tree_shap", counting)
+    out = explain_samples(forest, X, B, method="tree")
+    assert len(calls) == len(X) == len(out)
+    assert calls[0] is not None and all(plan is calls[0] for plan in calls)
+    for x, e in zip(X, out):
+        assert np.array_equal(e.phi, tree_shap(forest, x, B).phi)
+
+
+def test_tree_rejects_non_finite_inputs():
+    forest, x, B = random_forest_instance(RNG, p=3, nb=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        tree_shap(forest, np.array([0.1, np.nan, 0.2]), B)
+    with pytest.raises(ValueError, match="non-finite"):
+        compile_tree_shap(forest, np.vstack([B, [np.inf, 0.0, 0.0]]))
 
 
 # --- global ranking ------------------------------------------------------------------

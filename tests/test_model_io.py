@@ -1,4 +1,7 @@
-"""Model files: round trips preserve behaviour, serialization is stable."""
+"""Model files: round trips preserve behaviour, serialization is stable, and
+malformed files are rejected with ModelFormatError."""
+
+import json
 
 import numpy as np
 import pytest
@@ -61,3 +64,128 @@ def test_rejects_foreign_json(tmp_path):
     path.write_text('{"hello": 1}')
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+def _saved_doc(tmp_path, kind):
+    X, y = _data(seed=4)
+    if kind == "rf":
+        model = train_forest(X, y, ForestParams(n_trees=3, max_depth=3, seed=1))
+    else:
+        model = train_mlp(X, y, MlpParams(hidden=(5, 3), epochs=2, seed=1))
+    path = tmp_path / f"{kind}.json"
+    save_model(path, model, scaler=MinMaxScaler.fit(X))
+    return path, json.loads(path.read_text())
+
+
+def _tree(doc):
+    return doc["forest"]["trees"][0]
+
+
+def _first_split(doc):
+    return next(i for i, f in enumerate(_tree(doc)["feature"]) if f >= 0)
+
+
+def _drop_prob(doc):
+    del _tree(doc)["prob"]
+
+
+def _short_threshold(doc):
+    _tree(doc)["threshold"].pop()
+
+
+def _child_to_root(doc):
+    # a cycle: without the check, every walk that reaches it never ends
+    _tree(doc)["left"][_first_split(doc)] = 0
+
+
+def _child_out_of_range(doc):
+    _tree(doc)["right"][_first_split(doc)] = len(_tree(doc)["feature"])
+
+
+def _feature_too_wide(doc):
+    _tree(doc)["feature"][_first_split(doc)] = doc["forest"]["n_features"]
+
+
+def _drop_trees(doc):
+    del doc["forest"]["trees"]
+
+
+def _scaler_too_narrow(doc):
+    doc["scaler"]["mins"].pop()
+
+
+def _unknown_kind(doc):
+    doc["kind"] = "svm"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_prob, _short_threshold, _child_to_root, _child_out_of_range,
+    _feature_too_wide, _drop_trees, _scaler_too_narrow, _unknown_kind,
+])
+def test_malformed_forest_rejected(tmp_path, corrupt):
+    path, doc = _saved_doc(tmp_path, "rf")
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=str(path.name)):
+        load_model(path)
+
+
+def _drop_biases(doc):
+    del doc["mlp"]["biases"]
+
+
+def _weights_do_not_chain(doc):
+    doc["mlp"]["weights"][1] = doc["mlp"]["weights"][1][:-1]  # 5 -> 4 input rows
+
+
+def _bias_too_short(doc):
+    doc["mlp"]["biases"][0].pop()
+
+
+def _ragged_weights(doc):
+    doc["mlp"]["weights"][0][0].pop()
+
+
+def _first_layer_too_wide(doc):
+    doc["mlp"]["n_features"] += 1
+
+
+def _two_outputs(doc):
+    for row in doc["mlp"]["weights"][-1]:
+        row.append(0.0)
+    doc["mlp"]["biases"][-1].append(0.0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_biases, _weights_do_not_chain, _bias_too_short, _ragged_weights,
+    _first_layer_too_wide, _two_outputs,
+])
+def test_malformed_mlp_rejected(tmp_path, corrupt):
+    path, doc = _saved_doc(tmp_path, "mlp")
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=str(path.name)):
+        load_model(path)
+
+
+def test_cyclic_tree_model_exits_2(tmp_path, capsys):
+    # eval with such a model used to loop forever in the first tree walk
+    from flowlens.cli import main
+
+    assert main(["synth", "--out-dir", str(tmp_path), "--benign-http", "4",
+                 "--benign-dns", "2", "--flood-flows", "3", "--dos-flows", "2"]) == 0
+    features, labeled = tmp_path / "f.csv", tmp_path / "l.csv"
+    assert main(["extract", "--pcap", str(tmp_path / "synth.pcap"), "--schema",
+                 "netflow_v2", "--out", str(features)]) == 0
+    assert main(["label", "--features", str(features), "--events",
+                 str(tmp_path / "ground_truth.csv"), "--out", str(labeled)]) == 0
+    model = tmp_path / "rf.json"
+    assert main(["train", "--data", str(labeled), "--model", "rf", "--trees", "2",
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    _child_to_root(doc)
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--data", str(labeled), "--model-file", str(model),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "child index" in capsys.readouterr().err

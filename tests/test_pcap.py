@@ -162,3 +162,20 @@ def test_inconsistent_header_lengths_skipped(tmp_path, bad_ip, reason):
     assert main(["extract", "--pcap", str(pcap), "--schema", "netflow_v2",
                  "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 3  # provenance, header, one flow
+
+
+def test_single_vlan_tag_decoded():
+    # 802.1Q: TPID 0x8100 and a 2-byte tag (VLAN 100) sit between the MAC
+    # addresses and the inner ethertype, so IPv4 starts at byte 18.
+    ip = raw_ipv4("10.0.0.5", "10.0.0.6", 6, 61, raw_tcp(4000, 443, SYN, 1024))
+    tagged = raw_ethernet(0x8100, struct.pack(">HH", 100, 0x0800) + ip)
+    double = raw_ethernet(0x8100, struct.pack(">HH", 100, 0x8100)
+                          + struct.pack(">HH", 200, 0x0800) + ip)
+    short = raw_ethernet(0x8100, b"\x00\x64")
+    records, stats = parse_bytes(pcap_global_header() + pcap_record(0, 0, tagged)
+                                 + pcap_record(0, 1, double) + pcap_record(0, 2, short))
+    assert [(r.src_ip, r.dst_port, r.ttl, r.tcp_flags) for r in records] == [
+        ("10.0.0.5", 443, 61, SYN)]
+    untagged, _ = parse_bytes(pcap_global_header() + pcap_record(0, 0, raw_ethernet(0x0800, ip)))
+    assert records == untagged
+    assert stats.reasons == {"non_ipv4": 1, "short_frame": 1}
