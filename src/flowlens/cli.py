@@ -166,8 +166,10 @@ def cmd_extract(args) -> int:
     meta["schema"] = schema.name
     meta["schema_version"] = schema.version
     ds_mod.write_feature_csv(args.out, table, meta=meta)
-    print(f"decoded {stats.packets} packets ({stats.skipped} skipped), "
-          f"{len(flows)} flows -> {args.out}")
+    skipped = f"{stats.skipped} skipped"
+    if stats.skipped:
+        skipped += ": " + ", ".join(f"{r}={n}" for r, n in sorted(stats.reasons.items()))
+    print(f"decoded {stats.packets} packets ({skipped}), {len(flows)} flows -> {args.out}")
     return EXIT_OK
 
 

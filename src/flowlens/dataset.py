@@ -8,13 +8,14 @@ may start with one ``#`` provenance line, which readers skip.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -296,21 +297,40 @@ def write_feature_csv(path: str | Path, table: FeatureTable, meta: dict | None =
 
 def write_labeled_csv(path: str | Path, ds: LabeledDataset, meta: dict | None = None):
     header = ds.schema.column_names + [LABEL_COLUMN, CATEGORY_COLUMN]
-    rows = [
-        row + [lab, cat]
-        for row, lab, cat in zip(ds.table.rows, ds.labels, ds.categories)
-    ]
+    rows = (row + [lab, cat] for row, lab, cat in zip(ds.table.rows, ds.labels, ds.categories))
     _write_csv(path, header, rows, meta)
 
 
-def _write_csv(path: str | Path, header: list[str], rows: list[list], meta: dict | None):
+# Rows formatted per writerows call: the cell strings of one block are alive
+# at a time, never those of the whole table.
+_WRITE_BLOCK_ROWS = 64
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list], meta: dict | None):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if meta:
             fh.write(meta_line(meta) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        rows = iter(rows)
+        while block := [list(map(format_value, row)) for row in islice(rows, _WRITE_BLOCK_ROWS)]:
+            if "\r" in "".join(map("".join, block)):
+                fh.writelines(map(_cr_quoted_line, block))
+            else:
+                writer.writerows(block)
+
+
+def _cr_quoted_line(cells: list[str]) -> str:
+    """One CSV line that quotes a cell holding a carriage return.
+
+    ``csv.writer`` quotes a cell for the characters of its line terminator
+    only; under ``"\n"`` a bare ``\r`` would reach the file unquoted and a
+    reader would end the row there. Written under ``"\r\n"``, the line is the
+    same except for that quoting and its terminator.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
 
 
 @contextmanager

@@ -82,8 +82,16 @@ class ParseStats:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 
-def _ip_str(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
+# The reader takes the stream in blocks of this many bytes, so memory follows
+# the block and the largest record, not the size of the capture.
+_READ_BLOCK_BYTES = 1 << 20
+
+_ETHERTYPE = struct.Struct(">H")
+# version/IHL, total length, flags/fragment offset, TTL, protocol, addresses
+_IPV4 = struct.Struct(">B1xH2xHBB2xII")
+# ports, data offset/flags, window
+_TCP = struct.Struct(">HH8xHH")
+_PORTS = struct.Struct(">HH")
 
 
 def parse_pcap(stream: BinaryIO, stats: ParseStats | None = None) -> list[PacketRecord]:
@@ -110,91 +118,102 @@ def parse_pcap(stream: BinaryIO, stats: ParseStats | None = None) -> list[Packet
         raise PcapFormatError(f"unsupported link type {linktype}, expected Ethernet (1)")
 
     records: list[PacketRecord] = []
-    rec_hdr = struct.Struct(endian + "IIII")
+    unpack_header = struct.Struct(endian + "III").unpack_from  # ts_sec, ts_frac, incl_len
+    addresses: dict[int, str] = {}  # dotted quad of each address seen in this call
+    buf, pos = b"", 0
     while True:
-        hdr = stream.read(16)
-        if not hdr:
-            break
-        if len(hdr) < 16:
-            stats.skip("truncated_record_header")
-            break
-        ts_sec, ts_frac, incl_len, orig_len = rec_hdr.unpack(hdr)
-        data = stream.read(incl_len)
-        if len(data) < incl_len:
-            stats.skip("truncated_record_body")
-            break
+        if len(buf) - pos < 16:
+            buf, pos = _read_at_least(stream, buf[pos:], 16), 0
+            if not buf:
+                break
+            if len(buf) < 16:
+                stats.skip("truncated_record_header")
+                break
+        ts_sec, ts_frac, incl_len = unpack_header(buf, pos)
+        if pos + 16 + incl_len > len(buf):
+            buf, pos = _read_at_least(stream, buf[pos:], 16 + incl_len), 0
+            if 16 + incl_len > len(buf):
+                stats.skip("truncated_record_body")
+                break
+        start = pos + 16
+        pos = end = start + incl_len
         ts = ts_sec * 1_000_000 + (ts_frac // 1000 if nanos else ts_frac)
-        rec = _decode_ethernet(ts, data, stats)
+        rec = _decode_frame(ts, buf, start, end, addresses, stats)
         if rec is not None:
             records.append(rec)
             stats.packets += 1
     return records
 
 
-def _decode_ethernet(ts: int, frame: bytes, stats: ParseStats) -> PacketRecord | None:
-    if len(frame) < 14:
+def _read_at_least(stream: BinaryIO, head: bytes, size: int) -> bytes:
+    """``head`` followed by blocks of the stream until ``size`` bytes are held
+    or the stream ends. Nothing is allocated for bytes the stream lacks."""
+    blocks = [head]
+    held = len(head)
+    while held < size:
+        block = stream.read(_READ_BLOCK_BYTES)
+        if not block:
+            break
+        blocks.append(block)
+        held += len(block)
+    return b"".join(blocks)
+
+
+def _decode_frame(ts: int, buf: bytes, start: int, end: int, addresses: dict[int, str],
+                  stats: ParseStats) -> PacketRecord | None:
+    """Decode the Ethernet frame held in ``buf[start:end]`` without copying it."""
+    if end - start < 14:
         stats.skip("short_frame")
         return None
-    ethertype = struct.unpack(">H", frame[12:14])[0]
-    header_len = 14
+    ethertype = _ETHERTYPE.unpack_from(buf, start + 12)[0]
+    ip = start + 14
     if ethertype == ETHERTYPE_VLAN:
-        if len(frame) < 18:
+        if end - start < 18:
             stats.skip("short_frame")
             return None
-        ethertype = struct.unpack(">H", frame[16:18])[0]
-        header_len = 18
+        ethertype = _ETHERTYPE.unpack_from(buf, start + 16)[0]
+        ip = start + 18
     if ethertype == ETHERTYPE_IPV6:
         stats.skip("ipv6")
         return None
     if ethertype != ETHERTYPE_IPV4:
         stats.skip("non_ipv4")
         return None
-    return _decode_ipv4(ts, frame[header_len:], stats)
 
-
-def _decode_ipv4(ts: int, data: bytes, stats: ParseStats) -> PacketRecord | None:
-    if len(data) < 20:
+    if end - ip < 20:
         stats.skip("short_ip_header")
         return None
-    version_ihl = data[0]
+    version_ihl, total_len, flags_frag, ttl, protocol, src, dst = _IPV4.unpack_from(buf, ip)
     if version_ihl >> 4 != 4:
         stats.skip("non_ipv4")
         return None
     ihl = (version_ihl & 0x0F) * 4
-    if ihl < 20 or len(data) < ihl:
+    if ihl < 20 or end - ip < ihl:
         stats.skip("short_ip_header")
         return None
-    total_len = struct.unpack(">H", data[2:4])[0]
-    flags_frag = struct.unpack(">H", data[6:8])[0]
     if flags_frag & 0x1FFF:  # non-initial fragment: no transport header
         stats.skip("ip_fragment")
         return None
-    ttl = data[8]
-    protocol = data[9]
-    src = _ip_str(data[12:16])
-    dst = _ip_str(data[16:20])
-    l4 = data[ihl:]
+    l4 = ip + ihl
 
     if protocol == PROTO_TCP:
-        if len(l4) < 20:
+        if end - l4 < 20:
             stats.skip("short_l4_header")
             return None
-        sport, dport = struct.unpack(">HH", l4[0:4])
-        offset_flags = struct.unpack(">H", l4[12:14])[0]
+        sport, dport, offset_flags, window = _TCP.unpack_from(buf, l4)
         l4_len = (offset_flags >> 12) * 4
         if l4_len < 20:
             stats.skip("bad_tcp_offset")
             return None
         flags = offset_flags & 0xFF
-        window = struct.unpack(">H", l4[14:16])[0]
     elif protocol == PROTO_UDP:
-        if len(l4) < 8:
+        if end - l4 < 8:
             stats.skip("short_l4_header")
             return None
-        sport, dport = struct.unpack(">HH", l4[0:4])
+        sport, dport = _PORTS.unpack_from(buf, l4)
         l4_len, flags, window = 8, 0, 0
     elif protocol == PROTO_ICMP:
-        if len(l4) < 8:
+        if end - l4 < 8:
             stats.skip("short_l4_header")
             return None
         sport = dport = 0
@@ -206,21 +225,18 @@ def _decode_ipv4(ts: int, data: bytes, stats: ParseStats) -> PacketRecord | None
     if total_len < ihl + l4_len:
         stats.skip("short_ip_total_len")
         return None
-    payload = total_len - ihl - l4_len
-    return PacketRecord(
-        ts_micros=ts,
-        src_ip=src,
-        dst_ip=dst,
-        src_port=sport,
-        dst_port=dport,
-        protocol=protocol,
-        ttl=ttl,
-        ip_total_len=total_len,
-        l4_header_len=l4_len,
-        payload_len=payload,
-        tcp_flags=flags,
-        tcp_window=window,
-    )
+    src_ip = addresses.get(src)
+    if src_ip is None:
+        src_ip = addresses[src] = _dotted_quad(src)
+    dst_ip = addresses.get(dst)
+    if dst_ip is None:
+        dst_ip = addresses[dst] = _dotted_quad(dst)
+    return PacketRecord(ts, src_ip, dst_ip, sport, dport, protocol, ttl, total_len, l4_len,
+                        total_len - ihl - l4_len, flags, window)
+
+
+def _dotted_quad(address: int) -> str:
+    return f"{address >> 24}.{(address >> 16) & 0xFF}.{(address >> 8) & 0xFF}.{address & 0xFF}"
 
 
 # --- writing ---------------------------------------------------------------

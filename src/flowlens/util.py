@@ -3,24 +3,34 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 
 def format_value(v) -> str:
-    """Serialize a cell value: integers bare, floats with up to 6 decimals."""
-    if isinstance(v, str):
+    """Serialize a cell value: integers bare, floats with up to 6 decimals.
+
+    Plain ``int``, ``float`` and ``str`` cells, which make up whole feature
+    tables, are dispatched on their exact type; anything else (bools, numpy
+    scalars) takes the generic path, which gives the same text.
+    """
+    t = type(v)
+    if t is int:
+        return str(v)
+    if t is str:
         return v
-    if isinstance(v, (bool, np.bool_)):
+    if t is not float:
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (bool, np.bool_, int, np.integer)):
+            return str(int(v))
+        v = float(v)
+    if v.is_integer() and abs(v) < 1e15:
         return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if not np.isfinite(f):
-        raise ValueError(f"non-finite value {f!r} cannot be serialized")
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    s = f"{f:.6f}".rstrip("0").rstrip(".")
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value {v!r} cannot be serialized")
+    s = f"{v:.6f}".rstrip("0").rstrip(".")
     return "0" if s == "-0" else s  # a negative value that rounds to zero
 
 

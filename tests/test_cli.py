@@ -1,6 +1,7 @@
 """Command-line surface: subcommand wiring, exit codes, artifact determinism,
 and the help/docs consistency check."""
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 from flowlens.cli import build_parser, main
 from flowlens.dataset import read_feature_csv, read_labeled_csv
+from conftest import (pcap_global_header, pcap_record, raw_ethernet, raw_ipv4,
+                      raw_udp)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -238,3 +241,54 @@ def test_bad_learnable_cell_exits_2_naming_it(pipeline, tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert str(bad) in err and "row 3" in err and repr(column) in err and repr(cell) in err
     assert not (tmp_path / "m.json").exists()
+
+
+# sha256 of every artifact of synth -> extract -> label on the default synth
+# scenario (seed 7). A change to these bytes is a change to the file formats
+# or to what ingest computes, and must be deliberate.
+GOLDEN_SHA256 = {
+    "synth.pcap": "21f84efd24e47caefea8c38de0a6b5a7d2f259596e1ab1070e99329c8ed7cd77",
+    "ground_truth.csv": "5ffb8eab0df66ff3c76f8995f4c8d2e11d8c1f7b1eb2b1516bf7bb1531864bb3",
+    "features_netflow_v2.csv":
+        "ed79fb4fd0eb9714048e5c75a71a6d20e12ef84076e41be9696a1adc6a514daa",
+    "labeled_netflow_v2.csv":
+        "0dc5d3847f73ac1668c3d7a6e2972eb60729f727fc2af6ff951b1962639c2de6",
+    "features_cic.csv": "3b73a29e9feb15dad23f77fb91dbff45c3406086ae7286bd6dc9f848016e0343",
+    "labeled_cic.csv": "d8ceca12c26f6e4846b74d590bf50c2f816fb8d03f4b5791bc169517d3dc028c",
+}
+
+
+def test_default_scenario_ingest_artifacts_match_golden_digests(tmp_path):
+    assert main(["synth", "--out-dir", str(tmp_path), "--seed", "7"]) == 0
+    for schema in ("netflow_v2", "cic"):
+        features = tmp_path / f"features_{schema}.csv"
+        assert main(["extract", "--pcap", str(tmp_path / "synth.pcap"), "--schema",
+                     schema, "--out", str(features), "--seed", "7"]) == 0
+        assert main(["label", "--features", str(features), "--events",
+                     str(tmp_path / "ground_truth.csv"), "--out",
+                     str(tmp_path / f"labeled_{schema}.csv"), "--seed", "7"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
+
+
+def test_extract_prints_skip_reasons(tmp_path, capsys):
+    udp = raw_ethernet(0x0800, raw_ipv4("10.0.0.1", "10.0.0.2", 17, 64,
+                                        raw_udp(5353, 53, b"ab")))
+    ipv6 = raw_ethernet(0x86DD, b"\x00" * 40)
+    arp = raw_ethernet(0x0806, b"\x00" * 28)
+    pcap = tmp_path / "mixed.pcap"
+    out = tmp_path / "mixed.csv"
+    pcap.write_bytes(pcap_global_header() + pcap_record(0, 0, ipv6) + pcap_record(0, 1, udp)
+                     + pcap_record(0, 2, arp) + pcap_record(0, 3, ipv6))
+    capsys.readouterr()
+    assert main(["extract", "--pcap", str(pcap), "--schema", "netflow_v2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"decoded 1 packets (3 skipped: ipv6=2, non_ipv4=1), 1 flows -> {out}\n")
+
+    clean = tmp_path / "clean.pcap"
+    clean.write_bytes(pcap_global_header() + pcap_record(0, 1, udp))
+    assert main(["extract", "--pcap", str(clean), "--schema", "netflow_v2",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"decoded 1 packets (0 skipped), 1 flows -> {out}\n"

@@ -1,14 +1,19 @@
 """Parser tests against hand-built capture bytes (written here with struct,
-independently of the package's own frame builder)."""
+independently of the package's own frame builder), then property tests of the
+parser on arbitrary bytes and on captures from the package's writer."""
 
 import io
 import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowlens.pcap as pcap_mod
 from flowlens.cli import main
-from flowlens.pcap import (ParseStats, PcapFormatError, SYN, parse_pcap,
-                           write_pcap)
+from flowlens.pcap import (PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketRecord, ParseStats,
+                           PcapFormatError, SYN, build_frame, parse_pcap, write_pcap)
 from conftest import (MAGIC_BE_MICROS, MAGIC_LE_MICROS, MAGIC_LE_NANOS,
                       pcap_global_header, pcap_record, raw_ethernet, raw_ipv4,
                       raw_tcp, raw_udp, tcp_packet, udp_packet)
@@ -179,3 +184,125 @@ def test_single_vlan_tag_decoded():
     untagged, _ = parse_bytes(pcap_global_header() + pcap_record(0, 0, raw_ethernet(0x0800, ip)))
     assert records == untagged
     assert stats.reasons == {"non_ipv4": 1, "short_frame": 1}
+
+
+# --- properties -------------------------------------------------------------
+
+PORTS = st.integers(0, 65535)
+IPS = st.tuples(*[st.integers(0, 255)] * 4).map(lambda q: ".".join(map(str, q)))
+
+
+@st.composite
+def packet_records(draw):
+    protocol = draw(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP]))
+    if protocol == PROTO_TCP:
+        l4_len, sport, dport = 4 * draw(st.integers(5, 15)), draw(PORTS), draw(PORTS)
+        flags, window = draw(st.integers(0, 255)), draw(PORTS)
+    else:
+        l4_len, flags, window = 8, 0, 0
+        sport, dport = (draw(PORTS), draw(PORTS)) if protocol == PROTO_UDP else (0, 0)
+    ip_len = 4 * draw(st.integers(5, 15))
+    payload = draw(st.integers(0, 40))
+    return PacketRecord(
+        ts_micros=draw(st.integers(0, 2**32 * 1_000_000 - 1)), src_ip=draw(IPS),
+        dst_ip=draw(IPS), src_port=sport, dst_port=dport, protocol=protocol,
+        ttl=draw(st.integers(0, 255)), ip_total_len=ip_len + l4_len + payload,
+        l4_header_len=l4_len, payload_len=payload, tcp_flags=flags, tcp_window=window)
+
+
+def capture_bytes(packets) -> bytes:
+    buf = io.BytesIO()
+    write_pcap(buf, packets)
+    return buf.getvalue()
+
+
+def record_slots(body: bytes) -> int:
+    """Records a reader must account for in ``body`` (the bytes after the
+    global header): each complete one, plus a truncated last one."""
+    pos = slots = 0
+    while pos < len(body):
+        slots += 1
+        if len(body) - pos < 16:
+            break
+        pos += 16 + struct.unpack_from("<I", body, pos + 8)[0]
+    return slots
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.binary(max_size=300))
+def test_arbitrary_record_bytes_give_records_and_counted_skips(body):
+    records, stats = parse_bytes(pcap_global_header() + body)
+    assert stats.packets == len(records)
+    assert stats.skipped == sum((stats.reasons or {}).values())
+    assert stats.packets + stats.skipped == record_slots(body)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.sampled_from([b"", MAGIC_LE_MICROS, MAGIC_BE_MICROS, MAGIC_LE_NANOS]),
+       rest=st.binary(max_size=120))
+def test_arbitrary_leading_bytes_give_records_or_format_error(magic, rest):
+    try:
+        records, stats = parse_bytes(magic + rest)
+    except PcapFormatError:
+        return
+    assert stats.packets == len(records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(packets=st.lists(packet_records(), max_size=6))
+def test_written_records_parse_back(packets):
+    records, stats = parse_bytes(capture_bytes(packets))
+    assert records == packets
+    assert stats.skipped == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(packets=st.lists(packet_records(), min_size=1, max_size=4), data=st.data())
+def test_truncated_capture_gives_prefix_and_one_skip(packets, data):
+    full = capture_bytes(packets)
+    ends = [24]
+    for rec in packets:
+        ends.append(ends[-1] + 16 + len(build_frame(rec)))
+    cut = data.draw(st.integers(24, len(full)))
+    records, stats = parse_bytes(full[:cut])
+    whole = sum(end <= cut for end in ends) - 1
+    assert records == packets[:whole]
+    tail = cut - ends[whole]
+    if tail == 0:
+        assert stats.skipped == 0
+    else:
+        reason = "truncated_record_header" if tail < 16 else "truncated_record_body"
+        assert stats.reasons == {reason: 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(packets=st.lists(packet_records(), max_size=4), tail=st.binary(max_size=40),
+       block=st.integers(1, 64))
+def test_records_across_read_blocks_decode_the_same(packets, tail, block):
+    data = capture_bytes(packets) + tail
+    whole_records, whole_stats = parse_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcap_mod, "_READ_BLOCK_BYTES", block)
+        records, stats = parse_bytes(data)
+    assert records == whole_records
+    assert (stats.packets, stats.skipped, stats.reasons) == (
+        whole_stats.packets, whole_stats.skipped, whole_stats.reasons)
+
+
+def test_huge_claimed_record_length_is_truncated_body(tmp_path):
+    good = pcap_record(0, 0, raw_ethernet(0x0800, raw_ipv4("10.0.0.1", "10.0.0.2", 17, 64,
+                                                            raw_udp(1, 2))))
+    huge = struct.pack("<IIII", 1, 0, 2**32 - 1, 2**32 - 1) + b"\x00" * 100
+    path = tmp_path / "huge.pcap"
+    path.write_bytes(pcap_global_header() + good + huge)
+    stats = ParseStats()
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            records = parse_pcap(fh, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 1
+    assert stats.reasons == {"truncated_record_body": 1}
+    assert peak < 8 * 2**20  # the read block, not the 4 GiB claim
