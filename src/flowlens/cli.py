@@ -236,6 +236,18 @@ def _write_report_files(out_dir: Path, stem: str, report, provenance: dict):
     Path(f"{base}_report.txt").write_text(table, encoding="utf-8")
 
 
+def _load_saved_model(st: Settings, path: str, learnable: ds_mod.LabeledDataset):
+    """Load the model file at ``path`` for the ``learnable`` rows; refuse one
+    built from other feature columns or saved without its scaler."""
+    st.effective["model_file"] = path
+    saved = load_model(_require_file(path, "model file"))
+    if saved.model.schema_fingerprint != learnable.schema.fingerprint():
+        raise FingerprintMismatch("model and dataset were built from different feature columns")
+    if saved.scaler is None:
+        raise CliError("model file carries no scaler; cannot normalize inputs")
+    return saved
+
+
 def cmd_eval(args) -> int:
     st = Settings(args)
     seed = st.seed()
@@ -248,13 +260,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args.out_dir)
 
     if args.model_file:
-        st.effective["model_file"] = args.model_file
-        saved = load_model(_require_file(args.model_file, "model file"))
-        if saved.model.schema_fingerprint != learnable.schema.fingerprint():
-            raise FingerprintMismatch(
-                "model and dataset were built from different feature columns")
-        if saved.scaler is None:
-            raise CliError("model file carries no scaler; cannot normalize inputs")
+        saved = _load_saved_model(st, args.model_file, learnable)
         fold = evaluate_split(saved.model, saved.scaler, learnable.X(), learnable.y(),
                               timing_rows=timing_rows, timing_repeats=timing_repeats)
         report = EvaluationReport(dataset_name=dataset_name, model_name=saved.kind,
@@ -288,15 +294,8 @@ def cmd_explain(args) -> int:
     budget = st.get("budget", 2048, lambda v: v if v == "full" else int(v))
     labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
     learnable = ds_mod.drop_identifiers(labeled)
-    saved = load_model(_require_file(args.model_file, "model file"))
-    st.effective["model_file"] = args.model_file
-
+    saved = _load_saved_model(st, args.model_file, learnable)
     fingerprint = learnable.schema.fingerprint()
-    if saved.model.schema_fingerprint != fingerprint:
-        raise FingerprintMismatch(
-            "model and dataset were built from different feature columns")
-    if saved.scaler is None:
-        raise CliError("model file carries no scaler; cannot normalize inputs")
 
     method = args.method
     if method is None:

@@ -192,7 +192,9 @@ def label_table(
     labels, categories = [], []
     for row in table.rows:
         first = int(row[ts_c])
-        last = first + int(row[dur_c]) * dur_us
+        # Durations are whole units rounded down: end at the last unit's end,
+        # so the rebuilt interval holds the true one (exact for 1 us units).
+        last = first + int(row[dur_c]) * dur_us + dur_us - 1
         cat = _first_match(
             events, str(row[src_c]), str(row[dst_c]), int(row[proto_c]), first, last, stats
         )

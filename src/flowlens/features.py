@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .flows import DEFAULT_ACTIVITY_TIMEOUT, FlowPacket, FlowRecord
-from .pcap import ACK, CWR, ECE, FIN, PROTO_TCP, PSH, RST, SYN, URG
+from .flows import DEFAULT_ACTIVITY_TIMEOUT, FlowRecord
+from .pcap import ACK, CWR, ECE, FIN, PROTO_TCP, PSH, RST, SYN, URG, PacketRecord
 from .schema import FeatureSchema, SchemaError
 
 # Well-known service ports to application codes (HTTP, TLS, DNS, FTP, SSH).
@@ -67,16 +67,16 @@ def compute_netflow_features(flow: FlowRecord, schema: FeatureSchema) -> list:
     sizes = [p.ip_total_len for p in everything]
     ttls = [p.ttl for p in everything]
 
-    def or_flags(pkts: list[FlowPacket]) -> int:
+    def or_flags(pkts: list[PacketRecord]) -> int:
         acc = 0
         for p in pkts:
             acc |= p.tcp_flags
         return acc
 
-    def dir_duration_ms(pkts: list[FlowPacket]) -> int:
+    def dir_duration_ms(pkts: list[PacketRecord]) -> int:
         if len(pkts) < 2:
             return 0
-        return (pkts[-1].ts - pkts[0].ts) // 1000
+        return (pkts[-1].ts_micros - pkts[0].ts_micros) // 1000
 
     hist = [0, 0, 0, 0, 0]
     for s in sizes:
@@ -237,28 +237,28 @@ def compute_cic_features(
     bwd_pl_min, bwd_pl_max, bwd_pl_mean, bwd_pl_std = _stats(bwd_payloads)
     pl_min, pl_max, pl_mean, pl_std = _stats(all_payloads)
 
-    flow_iats = _iats([p.ts for p in ordered])
-    fwd_iats = _iats([p.ts for p in fwd])
-    bwd_iats = _iats([p.ts for p in bwd])
+    flow_iats = _iats([p.ts_micros for p in ordered])
+    fwd_iats = _iats([p.ts_micros for p in fwd])
+    bwd_iats = _iats([p.ts_micros for p in bwd])
     fiat_min, fiat_max, fiat_mean, fiat_std = _stats(flow_iats)
     fwiat_min, fwiat_max, fwiat_mean, fwiat_std = _stats(fwd_iats)
     bwiat_min, bwiat_max, bwiat_mean, bwiat_std = _stats(bwd_iats)
 
-    def flag_count(bit: int, pkts: list[FlowPacket]) -> int:
+    def flag_count(bit: int, pkts: list[PacketRecord]) -> int:
         return sum(1 for p in pkts if p.tcp_flags & bit)
 
     fwd_bulk, bwd_bulk = _BulkTracker(), _BulkTracker()
     for is_fwd, p in flow.packets:
         if is_fwd:
-            fwd_bulk.update(p.ts, p.payload_len, bwd_bulk.last_ts)
+            fwd_bulk.update(p.ts_micros, p.payload_len, bwd_bulk.last_ts)
         else:
-            bwd_bulk.update(p.ts, p.payload_len, fwd_bulk.last_ts)
+            bwd_bulk.update(p.ts_micros, p.payload_len, fwd_bulk.last_ts)
 
     # Subflow boundaries: gaps over one second, per the reference meter.
     subflows = sum(1 for gap in flow_iats if gap > 1_000_000)
 
     active, idle = _active_idle_periods(
-        [p.ts for p in ordered], int(activity_timeout * 1_000_000)
+        [p.ts_micros for p in ordered], int(activity_timeout * 1_000_000)
     )
     act_min, act_max, act_mean, act_std = _stats(active)
     idl_min, idl_max, idl_mean, idl_std = _stats(idle)
@@ -306,8 +306,8 @@ def compute_cic_features(
         "Bwd PSH Flags": flag_count(PSH, bwd),
         "Fwd URG Flags": flag_count(URG, fwd),
         "Bwd URG Flags": flag_count(URG, bwd),
-        "Fwd Header Length": sum(p.header_len for p in fwd),
-        "Bwd Header Length": sum(p.header_len for p in bwd),
+        "Fwd Header Length": sum(p.l4_header_len for p in fwd),
+        "Bwd Header Length": sum(p.l4_header_len for p in bwd),
         "Fwd Packets/s": _rate(len(fwd), duration_us),
         "Bwd Packets/s": _rate(len(bwd), duration_us),
         "Packet Length Min": pl_min,

@@ -10,7 +10,7 @@ deterministic regardless of expiry order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .pcap import FIN, PROTO_TCP, RST, PacketRecord
 
@@ -23,16 +23,6 @@ FIN_RST = "fin_rst"
 DEFAULT_IDLE_TIMEOUT = 15.0
 DEFAULT_ACTIVE_TIMEOUT = 120.0
 DEFAULT_ACTIVITY_TIMEOUT = 5.0
-
-
-class FlowPacket(NamedTuple):
-    ts: int
-    ip_total_len: int
-    payload_len: int
-    header_len: int
-    tcp_flags: int
-    tcp_window: int
-    ttl: int
 
 
 @dataclass(frozen=True)
@@ -52,16 +42,16 @@ class FlowRecord:
     key: FlowKey
     first_ts: int
     last_ts: int
-    # (is_forward, packet) in arrival order; fwd/bwd views derive from this.
-    packets: list[tuple[bool, FlowPacket]] = field(default_factory=list)
+    # (is_forward, packet) in time order; fwd/bwd views derive from this.
+    packets: list[tuple[bool, PacketRecord]] = field(default_factory=list)
     expiry_reason: str = END_OF_CAPTURE
 
     @property
-    def fwd_packets(self) -> list[FlowPacket]:
+    def fwd_packets(self) -> list[PacketRecord]:
         return [p for fwd, p in self.packets if fwd]
 
     @property
-    def bwd_packets(self) -> list[FlowPacket]:
+    def bwd_packets(self) -> list[PacketRecord]:
         return [p for fwd, p in self.packets if not fwd]
 
     def packet_count(self) -> int:
@@ -87,17 +77,8 @@ class _FlowState:
 
     def add(self, pkt: PacketRecord):
         forward = (pkt.src_ip, pkt.src_port) == (self.record.key.ip_a, self.record.key.port_a)
-        fp = FlowPacket(
-            pkt.ts_micros,
-            pkt.ip_total_len,
-            pkt.payload_len,
-            pkt.l4_header_len,
-            pkt.tcp_flags,
-            pkt.tcp_window,
-            pkt.ttl,
-        )
-        self.record.packets.append((forward, fp))
-        self.record.last_ts = max(self.record.last_ts, pkt.ts_micros)
+        self.record.packets.append((forward, pkt))
+        self.record.last_ts = pkt.ts_micros
         if pkt.protocol == PROTO_TCP:
             if pkt.tcp_flags & RST:
                 self.closed = True
@@ -124,9 +105,9 @@ def assemble_flows(
     idle_us = int(idle_timeout * 1_000_000)
     active_us = int(active_timeout * 1_000_000)
 
-    ordered = list(packets)
-    if any(ordered[i].ts_micros > ordered[i + 1].ts_micros for i in range(len(ordered) - 1)):
-        ordered.sort(key=lambda p: p.ts_micros)  # stable: preserves file order on ties
+    # Stable, so file order survives on tied timestamps; on input already in
+    # time order the sort is one linear pass.
+    ordered = sorted(packets, key=lambda p: p.ts_micros)
 
     table: dict[tuple, _FlowState] = {}
     done: list[_FlowState] = []

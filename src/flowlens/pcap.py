@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Iterable, NamedTuple
 
 # TCP flag bits, low byte of the offset/flags word.
 FIN = 0x01
@@ -40,13 +40,14 @@ class PcapFormatError(ValueError):
     """Fatal: the stream does not start with a valid pcap global header."""
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """One decoded link/network/transport-layer packet.
 
     ``l4_header_len`` is the transport header size; the IPv4 header length is
     implicitly ``ip_total_len - l4_header_len - payload_len``. TCP window and
-    flags are 0 for non-TCP packets.
+    flags are 0 for non-TCP packets. The decoder guarantees both; records
+    built by callers are checked where they are serialized, in
+    :func:`build_frame`.
     """
 
     ts_micros: int
@@ -61,12 +62,6 @@ class PacketRecord:
     payload_len: int
     tcp_flags: int = 0
     tcp_window: int = 0
-
-    def __post_init__(self):
-        if self.payload_len + self.l4_header_len > self.ip_total_len:
-            raise ValueError("payload + headers exceed IP total length")
-        if self.protocol != PROTO_TCP and (self.tcp_flags or self.tcp_window):
-            raise ValueError("TCP flags/window must be 0 for non-TCP packets")
 
 
 @dataclass
@@ -262,6 +257,8 @@ def build_frame(rec: PacketRecord) -> bytes:
     ip_header_len = rec.ip_total_len - rec.l4_header_len - rec.payload_len
     if ip_header_len < 20:
         raise ValueError("record implies an IPv4 header shorter than 20 bytes")
+    if rec.protocol != PROTO_TCP and (rec.tcp_flags or rec.tcp_window):
+        raise ValueError("TCP flags/window must be 0 for non-TCP packets")
     eth = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + struct.pack(">H", ETHERTYPE_IPV4)
     ver_ihl = 0x40 | (ip_header_len // 4)
     ip = struct.pack(

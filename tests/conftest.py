@@ -6,9 +6,15 @@ from __future__ import annotations
 import struct
 
 import pytest
+from hypothesis import settings
 
-from flowlens.flows import FlowKey, FlowPacket, FlowRecord
+from flowlens.flows import FlowKey, FlowRecord
 from flowlens.pcap import PacketRecord
+
+# The host's timing drifts by about 20% between runs, so a per-example
+# deadline would fail at random; each test sets its own max_examples.
+settings.register_profile("flowlens", deadline=None)
+settings.load_profile("flowlens")
 
 MAGIC_LE_MICROS = struct.pack("<I", 0xA1B2C3D4)
 MAGIC_BE_MICROS = struct.pack(">I", 0xA1B2C3D4)
@@ -81,15 +87,26 @@ def make_flow(fwd_specs, bwd_specs=(), protocol=6, key=None) -> FlowRecord:
     tuples; merged in timestamp order with forward winning ties."""
     if key is None:
         key = FlowKey("10.0.0.1", 1234, "10.0.0.2", 80, protocol)
-    tagged = [(True, FlowPacket(*spec)) for spec in fwd_specs]
-    tagged += [(False, FlowPacket(*spec)) for spec in bwd_specs]
-    tagged.sort(key=lambda item: (item[1].ts, not item[0]))
+
+    def packet(spec, forward):
+        ts, total_len, payload, hdr, flags, win, ttl = spec
+        src, sport, dst, dport = ((key.ip_a, key.port_a, key.ip_b, key.port_b) if forward
+                                  else (key.ip_b, key.port_b, key.ip_a, key.port_a))
+        return forward, PacketRecord(
+            ts_micros=ts, src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
+            protocol=key.protocol, ttl=ttl, ip_total_len=total_len, l4_header_len=hdr,
+            payload_len=payload, tcp_flags=flags, tcp_window=win,
+        )
+
+    tagged = [packet(spec, True) for spec in fwd_specs]
+    tagged += [packet(spec, False) for spec in bwd_specs]
+    tagged.sort(key=lambda item: (item[1].ts_micros, not item[0]))
     if not tagged:
         raise ValueError("flow needs at least one packet")
     return FlowRecord(
         key=key,
-        first_ts=tagged[0][1].ts,
-        last_ts=max(p.ts for _, p in tagged),
+        first_ts=tagged[0][1].ts_micros,
+        last_ts=max(p.ts_micros for _, p in tagged),
         packets=tagged,
     )
 

@@ -93,6 +93,18 @@ def test_fingerprint_mismatch_exits_3(pipeline, tmp_path):
                  "--out-dir", str(tmp_path)]) == 3
 
 
+def test_model_file_without_scaler_exits_2(pipeline, tmp_path):
+    doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
+    doc["scaler"] = None
+    model = tmp_path / "no_scaler.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    data = str(pipeline["labeled"]["netflow_v2"])
+    assert main(["eval", "--data", data, "--model-file", str(model),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert main(["explain", "--data", data, "--model-file", str(model),
+                 "--out-dir", str(tmp_path)]) == 2
+
+
 def test_saved_model_eval_runs(pipeline, tmp_path):
     assert main(["eval", "--data", str(pipeline["labeled"]["netflow_v2"]),
                  "--model-file", str(pipeline["model"]),

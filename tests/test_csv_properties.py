@@ -61,7 +61,7 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(table=tables())
 def test_feature_csv_round_trip(tmp_path_factory, table):
     tmp = tmp_path_factory.mktemp("features")
@@ -73,7 +73,7 @@ def test_feature_csv_round_trip(tmp_path_factory, table):
     assert _same_bits(back.learnable_matrix(), _written_learnable(first, table.schema))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ds=labeled())
 def test_labeled_csv_round_trip(tmp_path_factory, ds):
     tmp = tmp_path_factory.mktemp("labeled")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlens.dataset import (BENIGN, FeatureTable, GroundTruthEvent,
                               LabeledDataset, LabelStats, MinMaxScaler,
                               drop_identifiers, kfold_split, label_flows,
-                              label_table, read_labeled_csv, write_labeled_csv)
+                              label_table, read_feature_csv, read_labeled_csv,
+                              write_feature_csv, write_labeled_csv)
 from flowlens.features import compute_features
 from flowlens.flows import assemble_flows
 from flowlens.schema import SchemaError, load_schema
@@ -80,6 +83,46 @@ def test_label_table_matches_label_flows():
         ds = label_table(table, events)
         assert ds.labels == expected_labels
         assert ds.categories == expected_cats
+
+
+HOSTS = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+
+
+@st.composite
+def flows_and_events(draw):
+    # Microsecond packet times over 3 s, and event boundaries within 1 ms of
+    # a packet, so that flow durations and event edges fall inside a
+    # millisecond.
+    times = draw(st.lists(st.integers(0, 3_000_000), min_size=1, max_size=8))
+    pkts = [udp_packet(ts, draw(st.sampled_from(HOSTS)), 1, draw(st.sampled_from(HOSTS)), 2)
+            for ts in times]
+    near_packet = st.builds(int.__add__, st.sampled_from(times), st.integers(-1000, 1000))
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        start, end = sorted((draw(near_packet), draw(near_packet)))
+        events.append(GroundTruthEvent(
+            draw(st.sampled_from([None, *HOSTS])), draw(st.sampled_from([None, *HOSTS])),
+            draw(st.sampled_from([None, 6, 17])), start, end,
+            draw(st.sampled_from(["DoS", "Scan"]))))
+    return assemble_flows(pkts, idle_timeout=1.0), events
+
+
+@settings(max_examples=100)
+@given(case=flows_and_events())
+def test_label_table_on_written_table_agrees_with_label_flows(tmp_path_factory, case):
+    flows, events = case
+    labels, categories = label_flows(flows, events)
+    tmp = tmp_path_factory.mktemp("label")
+    for schema in (CIC, NF):
+        path = tmp / f"{schema.name}.csv"
+        write_feature_csv(path, FeatureTable(schema, [compute_features(f, schema)
+                                                      for f in flows]))
+        table, _ = read_feature_csv(path)
+        ds = label_table(table, events)
+        if schema is CIC:  # microsecond duration: the exact interval
+            assert (ds.labels, ds.categories) == (labels, categories)
+        else:  # whole milliseconds: widened, so no overlap is missed
+            assert all(got >= want for got, want in zip(ds.labels, labels))
 
 
 def test_label_category_consistency_enforced():

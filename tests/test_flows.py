@@ -1,6 +1,8 @@
 """Flow assembly: timeout semantics, canonical direction, determinism."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlens.flows import (ACTIVE_TIMEOUT, END_OF_CAPTURE, FIN_RST,
                             IDLE_TIMEOUT, assemble_flows)
@@ -96,7 +98,7 @@ def test_direction_partition_and_assignment(simple_tcp_stream):
         assert f.fwd_packets, "a flow starts with its first forward packet"
         assert f.first_ts <= f.last_ts
         for _, p in f.packets:
-            assert f.first_ts <= p.ts <= f.last_ts
+            assert f.first_ts <= p.ts_micros <= f.last_ts
 
 
 def test_random_streams_every_packet_assigned_once():
@@ -114,3 +116,47 @@ def test_random_streams_every_packet_assigned_once():
     assert sum(f.total_ip_bytes() for f in flows) == sum(p.ip_total_len for p in pkts)
     starts = [f.first_ts for f in flows]
     assert starts == sorted(starts)
+
+
+# Few endpoints and half-second timestamps, so streams hold reused 5-tuples,
+# tied timestamps, FIN/RST closes and both kinds of timeout.
+ENDPOINTS = st.tuples(st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3"]),
+                      st.integers(1, 2))
+
+
+@st.composite
+def packets(draw):
+    (src, sport), (dst, dport) = draw(ENDPOINTS), draw(ENDPOINTS)
+    ts = draw(st.integers(0, 40)) * 500_000
+    if draw(st.booleans()):
+        flags = draw(st.sampled_from([0, SYN, ACK, FIN | ACK, RST]))
+        return tcp_packet(ts, src, sport, dst, dport, flags=flags)
+    return udp_packet(ts, src, sport, dst, dport)
+
+
+@settings(max_examples=150)
+@given(stream=st.lists(packets(), max_size=30), idle=st.sampled_from([1.0, 2.5, 5.0]),
+       active=st.sampled_from([3.0, 10.0, 120.0]), data=st.data())
+def test_assembly_invariants(stream, idle, active, data):
+    flows = assemble_flows(stream, idle_timeout=idle, active_timeout=active)
+
+    # Every packet lands in exactly one flow, as the record itself.
+    assert sorted(id(p) for f in flows for _, p in f.packets) == sorted(map(id, stream))
+
+    # Ordered by (first_ts, open order): a flow opens at its first packet of
+    # the stably time-sorted stream.
+    position = {id(p): i for i, p in enumerate(sorted(stream, key=lambda p: p.ts_micros))}
+    opened = [position[id(f.packets[0][1])] for f in flows]
+    assert opened == sorted(opened)
+
+    idle_us, active_us = int(idle * 1_000_000), int(active * 1_000_000)
+    for f in flows:
+        times = [p.ts_micros for _, p in f.packets]
+        assert (f.first_ts, f.last_ts) == (times[0], times[-1])
+        assert all(0 <= b - a <= idle_us for a, b in zip(times, times[1:]))
+        assert f.last_ts - f.first_ts <= active_us
+
+    shuffled = data.draw(st.permutations(stream))
+    assert (assemble_flows(shuffled, idle_timeout=idle, active_timeout=active)
+            == assemble_flows(sorted(shuffled, key=lambda p: p.ts_micros),
+                              idle_timeout=idle, active_timeout=active))

@@ -25,6 +25,17 @@ def parse_bytes(data: bytes):
     return records, stats
 
 
+def assert_decoder_invariants(records):
+    """What the decoder guarantees of every record it returns: the headers and
+    payload fit in the IP total length behind a header of at least 20 bytes,
+    and only TCP carries flags or a window."""
+    for rec in records:
+        assert rec.payload_len >= 0, rec
+        assert rec.l4_header_len + rec.payload_len <= rec.ip_total_len - 20, rec
+        if rec.protocol != PROTO_TCP:
+            assert rec.tcp_flags == rec.tcp_window == 0, rec
+
+
 def test_empty_capture_yields_nothing():
     records, stats = parse_bytes(pcap_global_header())
     assert records == []
@@ -228,16 +239,17 @@ def record_slots(body: bytes) -> int:
     return slots
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(body=st.binary(max_size=300))
 def test_arbitrary_record_bytes_give_records_and_counted_skips(body):
     records, stats = parse_bytes(pcap_global_header() + body)
+    assert_decoder_invariants(records)
     assert stats.packets == len(records)
     assert stats.skipped == sum((stats.reasons or {}).values())
     assert stats.packets + stats.skipped == record_slots(body)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(magic=st.sampled_from([b"", MAGIC_LE_MICROS, MAGIC_BE_MICROS, MAGIC_LE_NANOS]),
        rest=st.binary(max_size=120))
 def test_arbitrary_leading_bytes_give_records_or_format_error(magic, rest):
@@ -245,10 +257,11 @@ def test_arbitrary_leading_bytes_give_records_or_format_error(magic, rest):
         records, stats = parse_bytes(magic + rest)
     except PcapFormatError:
         return
+    assert_decoder_invariants(records)
     assert stats.packets == len(records)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(packets=st.lists(packet_records(), max_size=6))
 def test_written_records_parse_back(packets):
     records, stats = parse_bytes(capture_bytes(packets))
@@ -256,7 +269,7 @@ def test_written_records_parse_back(packets):
     assert stats.skipped == 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(packets=st.lists(packet_records(), min_size=1, max_size=4), data=st.data())
 def test_truncated_capture_gives_prefix_and_one_skip(packets, data):
     full = capture_bytes(packets)
@@ -265,6 +278,7 @@ def test_truncated_capture_gives_prefix_and_one_skip(packets, data):
         ends.append(ends[-1] + 16 + len(build_frame(rec)))
     cut = data.draw(st.integers(24, len(full)))
     records, stats = parse_bytes(full[:cut])
+    assert_decoder_invariants(records)
     whole = sum(end <= cut for end in ends) - 1
     assert records == packets[:whole]
     tail = cut - ends[whole]
@@ -275,7 +289,7 @@ def test_truncated_capture_gives_prefix_and_one_skip(packets, data):
         assert stats.reasons == {reason: 1}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(packets=st.lists(packet_records(), max_size=4), tail=st.binary(max_size=40),
        block=st.integers(1, 64))
 def test_records_across_read_blocks_decode_the_same(packets, tail, block):
@@ -284,9 +298,42 @@ def test_records_across_read_blocks_decode_the_same(packets, tail, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pcap_mod, "_READ_BLOCK_BYTES", block)
         records, stats = parse_bytes(data)
+    assert_decoder_invariants(records)
     assert records == whole_records
     assert (stats.packets, stats.skipped, stats.reasons) == (
         whole_stats.packets, whole_stats.skipped, whole_stats.reasons)
+
+
+@settings(max_examples=200)
+@given(protocol=st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP, 47]),
+       ihl_words=st.integers(0, 15), total_len=st.integers(0, 200),
+       l4=st.binary(max_size=80))
+def test_arbitrary_ipv4_headers_keep_decoder_invariants(protocol, ihl_words, total_len, l4):
+    # An IPv4 header whose length fields need not agree with each other or
+    # with the bytes that follow: a record that keeps the invariants, or a
+    # counted skip.
+    header = bytearray(raw_ipv4("10.0.0.1", "10.0.0.2", protocol, 64, b"",
+                                ihl_words=max(ihl_words, 5), total_len=total_len))
+    header[0] = (4 << 4) | ihl_words
+    frame = raw_ethernet(0x0800, bytes(header) + l4)
+    records, stats = parse_bytes(pcap_global_header() + pcap_record(0, 0, frame))
+    assert_decoder_invariants(records)
+    assert stats.packets + stats.skipped == 1
+
+
+@pytest.mark.parametrize("record", [
+    udp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(tcp_flags=SYN),
+    udp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(tcp_window=512),
+    udp_packet(0, "10.0.0.1", 0, "10.0.0.2", 0)._replace(protocol=PROTO_ICMP, tcp_flags=1),
+    # 20-byte TCP header + 30 payload bytes in a 40-byte IP packet
+    tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(payload_len=30),
+    udp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2, payload=4)._replace(ip_total_len=20),
+])
+def test_inconsistent_records_are_not_serialized(record):
+    with pytest.raises(ValueError):
+        build_frame(record)
+    with pytest.raises(ValueError):
+        write_pcap(io.BytesIO(), [record])
 
 
 def test_huge_claimed_record_length_is_truncated_body(tmp_path):
