@@ -12,6 +12,7 @@ file, then the FLOWLENS_SEED environment variable, then the default.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,7 @@ from .model_io import ModelFormatError, load_model, save_model
 from .pcap import ParseStats, PcapFormatError, parse_pcap, write_pcap
 from .schema import SchemaError, load_schema
 from .synth import ScenarioParams, generate_scenario
-from .util import config_hash
+from .util import config_hash, meta_line
 
 DEFAULT_SEED = 7
 SEED_ENV_VAR = "FLOWLENS_SEED"
@@ -77,30 +78,54 @@ class Settings:
         self.effective: dict[str, object] = {"command": args.command}
 
     def get(self, key: str, default, cast=None):
+        """The flag, else the config value, else ``default``, through ``cast``.
+        A value that ``cast`` refuses is an input error naming the setting."""
         value = getattr(self.args, key, None)
         if value is None and key in self.config:
             value = self.config[key]
         if value is None:
             value = default
         if cast is not None and value is not None:
-            value = cast(value)
+            try:
+                value = cast(value)
+            except ValueError as exc:
+                raise CliError(f"setting {key}={value}: {exc}") from exc
         self.effective[key] = value
         return value
 
     def seed(self) -> int:
-        value = getattr(self.args, "seed", None)
-        if value is None and "seed" in self.config:
-            value = int(self.config["seed"])
-        if value is None and os.environ.get(SEED_ENV_VAR):
-            value = int(os.environ[SEED_ENV_VAR])
-        if value is None:
-            value = DEFAULT_SEED
-        self.effective["seed"] = int(value)
-        return int(value)
+        return self.get("seed", os.environ.get(SEED_ENV_VAR) or DEFAULT_SEED, _at_least(0))
 
     def provenance(self) -> dict:
         return {"config_hash": config_hash(self.effective),
                 "seed": self.effective.get("seed", DEFAULT_SEED)}
+
+
+def _at_least(low: int):
+    """A cast to int that refuses values below ``low``."""
+    def cast(value) -> int:
+        number = int(value)
+        if number < low:
+            raise ValueError(f"must be at least {low}")
+        return number
+    return cast
+
+
+def _feature_fraction(value) -> float | str:
+    if value == "sqrt":
+        return value
+    fraction = float(value)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("must be 'sqrt' or a fraction in (0, 1]")
+    return fraction
+
+
+def _layer_sizes(value) -> str:
+    """Comma-separated positive layer sizes, kept as written: the text is
+    what provenance hashes."""
+    if any(int(size) < 1 for size in str(value).split(",") if size):
+        raise ValueError("layer sizes must be positive integers")
+    return str(value)
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -190,19 +215,18 @@ def _model_spec(st: Settings, seed: int) -> ModelSpec:
     kind = st.args.model
     st.effective["model"] = kind
     forest = ForestParams(
-        n_trees=st.get("trees", 100, int),
+        n_trees=st.get("trees", 100, _at_least(1)),
         max_depth=st.get("max_depth", 16, int),
         min_samples_split=st.get("min_samples_split", 2, int),
-        feature_subsample=st.get("feature_fraction", "sqrt",
-                                 lambda v: v if v == "sqrt" else float(v)),
+        feature_subsample=st.get("feature_fraction", "sqrt", _feature_fraction),
         seed=seed,
     )
-    hidden = st.get("hidden", "64,32,16", str)
+    hidden = st.get("hidden", "64,32,16", _layer_sizes)
     mlp = MlpParams(
-        hidden=tuple(int(h) for h in str(hidden).split(",") if h),
+        hidden=tuple(int(h) for h in hidden.split(",") if h),
         learning_rate=st.get("learning_rate", 0.05, float),
         epochs=st.get("epochs", 60, int),
-        batch_size=st.get("batch_size", 32, int),
+        batch_size=st.get("batch_size", 32, _at_least(1)),
         seed=seed,
     )
     return ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
@@ -213,16 +237,15 @@ def cmd_train(args) -> int:
     seed = st.seed()
     threads = st.get("threads", 1, int)
     labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
-    learnable = ds_mod.drop_identifiers(labeled)
     spec = _model_spec(st, seed)
 
-    X_raw = learnable.X()
+    X_raw = labeled.X()
     scaler = ds_mod.MinMaxScaler.fit(X_raw)
-    fingerprint = learnable.schema.fingerprint()
-    model = spec.train(scaler.transform(X_raw), learnable.y(), threads=threads,
+    fingerprint = labeled.schema.fingerprint()
+    model = spec.train(scaler.transform(X_raw), labeled.y(), threads=threads,
                        fingerprint=fingerprint)
     save_model(args.out, model, scaler=scaler,
-               feature_names=learnable.schema.learnable_names, meta=st.provenance())
+               feature_names=labeled.schema.learnable_names, meta=st.provenance())
     print(f"trained {spec.kind} on {len(X_raw)} rows -> {args.out}")
     return EXIT_OK
 
@@ -236,12 +259,14 @@ def _write_report_files(out_dir: Path, stem: str, report, provenance: dict):
     Path(f"{base}_report.txt").write_text(table, encoding="utf-8")
 
 
-def _load_saved_model(st: Settings, path: str, learnable: ds_mod.LabeledDataset):
-    """Load the model file at ``path`` for the ``learnable`` rows; refuse one
-    built from other feature columns or saved without its scaler."""
-    st.effective["model_file"] = path
-    saved = load_model(_require_file(path, "model file"))
-    if saved.model.schema_fingerprint != learnable.schema.fingerprint():
+def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledDataset):
+    """Load the model file at ``path`` for the ``labeled`` rows; refuse one
+    built from other feature columns or saved without its scaler. Provenance
+    records the sha256 of the file's bytes, not its path."""
+    model_file = _require_file(path, "model file")
+    st.effective["model_file"] = hashlib.sha256(model_file.read_bytes()).hexdigest()
+    saved = load_model(model_file)
+    if saved.model.schema_fingerprint != labeled.schema.fingerprint():
         raise FingerprintMismatch("model and dataset were built from different feature columns")
     if saved.scaler is None:
         raise CliError("model file carries no scaler; cannot normalize inputs")
@@ -252,33 +277,31 @@ def cmd_eval(args) -> int:
     st = Settings(args)
     seed = st.seed()
     threads = st.get("threads", 1, int)
-    timing_rows = st.get("timing_rows", 256, int)
-    timing_repeats = st.get("timing_repeats", 3, int)
+    timing_rows = st.get("timing_rows", 256, _at_least(1))
+    timing_repeats = st.get("timing_repeats", 3, _at_least(1))
     labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
-    learnable = ds_mod.drop_identifiers(labeled)
     dataset_name = Path(args.data).stem
-    out = _out_dir(args.out_dir)
 
     if args.model_file:
-        saved = _load_saved_model(st, args.model_file, learnable)
-        fold = evaluate_split(saved.model, saved.scaler, learnable.X(), learnable.y(),
+        saved = _load_saved_model(st, args.model_file, labeled)
+        fold = evaluate_split(saved.model, saved.scaler, labeled.X(), labeled.y(),
                               timing_rows=timing_rows, timing_repeats=timing_repeats)
         report = EvaluationReport(dataset_name=dataset_name, model_name=saved.kind,
                                   seed=seed, k=1, folds=[fold],
-                                  feature_set=learnable.schema.name)
+                                  feature_set=labeled.schema.name)
         stem = f"{dataset_name}_{saved.kind}_saved"
     else:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
-        k = st.get("folds", 5, int)
+        k = st.get("folds", 5, _at_least(2))
         spec = _model_spec(st, seed)
         report = crossval_evaluate(
-            learnable, spec, k=k, seed=seed, dataset_name=dataset_name,
+            labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
             threads=threads, timing_rows=timing_rows, timing_repeats=timing_repeats,
-            feature_set=learnable.schema.name,
+            feature_set=labeled.schema.name,
         )
         stem = f"{dataset_name}_{spec.kind}"
-    _write_report_files(out, stem, report, st.provenance())
+    _write_report_files(_out_dir(args.out_dir), stem, report, st.provenance())
     means = report.means()
     print(f"{stem}: mean f1={means['f1']:.4f} dr={means['dr']:.4f} "
           f"far={means['far']:.4f} auc={means['auc']:.4f} "
@@ -289,20 +312,19 @@ def cmd_eval(args) -> int:
 def cmd_explain(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    samples = st.get("samples", 500, int)
-    background_size = st.get("background", 100, int)
+    samples = st.get("samples", 500, _at_least(1))
+    background_size = st.get("background", 100, _at_least(1))
     budget = st.get("budget", 2048, lambda v: v if v == "full" else int(v))
     labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
-    learnable = ds_mod.drop_identifiers(labeled)
-    saved = _load_saved_model(st, args.model_file, learnable)
-    fingerprint = learnable.schema.fingerprint()
+    saved = _load_saved_model(st, args.model_file, labeled)
+    fingerprint = labeled.schema.fingerprint()
 
     method = args.method
     if method is None:
         method = "tree" if isinstance(saved.model, Forest) else "kernel"
     st.effective["method"] = method
 
-    X = saved.scaler.transform(learnable.X())
+    X = saved.scaler.transform(labeled.X())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     bg_idx = rng.choice(len(X), size=min(background_size, len(X)), replace=False)
     ex_idx = rng.choice(len(X), size=min(samples, len(X)), replace=False)
@@ -313,7 +335,7 @@ def cmd_explain(args) -> int:
         saved.model, explain_rows, background, method=method,
         coalition_budget=budget, seed=seed, fingerprint=fingerprint,
     )
-    ranking = explain_mod.global_ranking(explanations, learnable.schema.learnable_names)
+    ranking = explain_mod.global_ranking(explanations, labeled.schema.learnable_names)
 
     out = _out_dir(args.out_dir)
     stem = f"{Path(args.data).stem}_{saved.kind}_{method}"
@@ -339,7 +361,7 @@ def cmd_report(args) -> int:
         raise CliError("report needs at least one --reports or --rankings input")
     out = _out_dir(args.out_dir)
     provenance = st.provenance()
-    meta_comment = f"config_hash={provenance['config_hash']} seed={provenance['seed']}"
+    meta_comment = meta_line(provenance).removeprefix("# ")
 
     written = []
     if reports:

@@ -1,8 +1,10 @@
 """Dataset plumbing: labeling from ground-truth events, identifier dropping,
 min-max scaling, stratified k-fold splits, and CSV persistence.
 
-All operations are pure transforms; CSV files are UTF-8 with LF endings and
-may start with one ``#`` provenance line, which readers skip.
+All operations are pure transforms. Every CSV flowlens writes or reads back
+(feature, labeled, ground truth, report, ranking) goes through
+:func:`write_csv` and :func:`open_csv` / :func:`typed_rows`: UTF-8 with LF
+endings, one optional ``#`` provenance line, a header, and typed columns.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class GroundTruthEvent:
     category: str
 
     def __post_init__(self):
+        if self.start_ts != int(self.start_ts) or self.end_ts != int(self.end_ts):
+            raise ValueError("event timestamps must be whole microseconds")
         if self.start_ts > self.end_ts:
             raise ValueError("event start after end")
         if not self.category:
@@ -294,13 +298,13 @@ def kfold_split(
 # --- CSV persistence ---------------------------------------------------------
 
 def write_feature_csv(path: str | Path, table: FeatureTable, meta: dict | None = None):
-    _write_csv(path, table.schema.column_names, table.rows, meta)
+    write_csv(path, table.schema.column_names, table.rows, meta)
 
 
 def write_labeled_csv(path: str | Path, ds: LabeledDataset, meta: dict | None = None):
     header = ds.schema.column_names + [LABEL_COLUMN, CATEGORY_COLUMN]
     rows = (row + [lab, cat] for row, lab, cat in zip(ds.table.rows, ds.labels, ds.categories))
-    _write_csv(path, header, rows, meta)
+    write_csv(path, header, rows, meta)
 
 
 # Rows formatted per writerows call: the cell strings of one block are alive
@@ -308,7 +312,9 @@ def write_labeled_csv(path: str | Path, ds: LabeledDataset, meta: dict | None = 
 _WRITE_BLOCK_ROWS = 64
 
 
-def _write_csv(path: str | Path, header: list[str], rows: Iterable[list], meta: dict | None):
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list], meta: dict | None):
+    """The provenance line (if ``meta``), the header, then each row's cells
+    through :func:`format_value`; a string cell is written as it is."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if meta:
             fh.write(meta_line(meta) + "\n")
@@ -336,7 +342,7 @@ def _cr_quoted_line(cells: list[str]) -> str:
 
 
 @contextmanager
-def _open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list[str]]]]:
+def open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list[str]]]]:
     """The header, the fields of the provenance line, and a reader of the
     remaining rows as lists of cell strings."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -351,7 +357,7 @@ def _open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list
         yield header, meta, csv.reader(fh)
 
 
-def _check_widths(path: str | Path, header: list[str], rows: list[list[str]], first_row: int = 0):
+def check_widths(path: str | Path, header: list[str], rows: list[list[str]], first_row: int = 0):
     for r, row in enumerate(rows, first_row + 1):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
@@ -415,7 +421,7 @@ def _text_columns(schema: FeatureSchema) -> set[int]:
     return {j for j, c in enumerate(schema.columns) if c.unit == "text"}
 
 
-def _typed_rows(
+def typed_rows(
     path: str | Path,
     header: list[str],
     reader: Iterator[list[str]],
@@ -426,15 +432,18 @@ def _typed_rows(
     """Rows of the first ``width`` columns, and the cells of each column after
     them, typed a column at a time in chunks of rows: ``numeric`` columns
     must hold finite numbers, ``text`` columns stay strings, and the others
-    become numbers where every cell is one."""
+    become numbers where every cell is one. With ``width`` 0 every column
+    comes back as a list of cells. A ragged row is a :class:`SchemaError`
+    naming the file and row, a bad number one naming its row and column."""
     rows: list[list] = []
     tail: list[list] = [[] for _ in header[width:]]
+    done = 0  # rows read before this chunk
     while chunk := list(islice(reader, _CHUNK_ROWS)):
-        _check_widths(path, header, chunk, len(rows))
+        check_widths(path, header, chunk, done)
         columns = []
         for j, cells in enumerate(zip(*chunk)):
             if j in numeric:
-                columns.append(_number_column(path, header[j], cells, len(rows)))
+                columns.append(_number_column(path, header[j], cells, done))
             elif j in text:
                 columns.append(cells)
             else:
@@ -442,6 +451,7 @@ def _typed_rows(
         rows += map(list, zip(*columns[:width]))
         for cells, typed in zip(tail, columns[width:]):
             cells += typed
+        done += len(chunk)
     return rows, tail
 
 
@@ -460,22 +470,22 @@ def _schema_for_header(header: list[str]) -> tuple[FeatureSchema, bool]:
 
 
 def read_feature_csv(path: str | Path) -> tuple[FeatureTable, dict]:
-    with _open_csv(path) as (header, meta, reader):
+    with open_csv(path) as (header, meta, reader):
         schema, labeled = _schema_for_header(header)
         if labeled:
             raise SchemaError(f"{path}: labeled CSV passed where features expected")
-        rows, _ = _typed_rows(path, header, reader, set(schema.learnable_indices),
+        rows, _ = typed_rows(path, header, reader, set(schema.learnable_indices),
                               _text_columns(schema), schema.width())
     return FeatureTable(schema, rows), meta
 
 
 def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
-    with _open_csv(path) as (header, meta, reader):
+    with open_csv(path) as (header, meta, reader):
         schema, labeled = _schema_for_header(header)
         if not labeled:
             raise SchemaError(f"{path}: CSV has no {LABEL_COLUMN}/{CATEGORY_COLUMN} columns")
         width = schema.width()  # the label and category columns follow
-        rows, (labels, categories) = _typed_rows(
+        rows, (labels, categories) = typed_rows(
             path, header, reader, {*schema.learnable_indices, width},
             _text_columns(schema) | {width + 1}, width)
     bad = next((r for r, v in enumerate(labels, 1) if v not in (0, 1)), None)
@@ -487,41 +497,29 @@ def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
+_EVENT_HEADER = ["src_ip", "dst_ip", "protocol", "start_ts", "end_ts", "category"]
+
+
 def read_events_csv(path: str | Path) -> list[GroundTruthEvent]:
     """Ground truth CSV: src_ip,dst_ip,protocol,start_ts,end_ts,category.
-    Empty cells are wildcards; timestamps are integer microseconds."""
-    with _open_csv(path) as (header, _, reader):
-        rows = list(reader)
-    expected = ["src_ip", "dst_ip", "protocol", "start_ts", "end_ts", "category"]
-    if header != expected:
-        raise SchemaError(f"{path}: ground truth header must be {expected}")
-    _check_widths(path, header, rows)
+    Empty address and protocol cells are wildcards; timestamps are integer
+    microseconds. An event that does not parse is an input error naming its
+    row."""
+    with open_csv(path) as (header, _, reader):
+        if header != _EVENT_HEADER:
+            raise SchemaError(f"{path}: ground truth header must be {_EVENT_HEADER}")
+        _, columns = typed_rows(path, header, reader, {3, 4}, {0, 1, 2, 5}, 0)
     events = []
-    for src, dst, proto, start, end, cat in rows:
-        events.append(
-            GroundTruthEvent(
-                src_ip=src or None,
-                dst_ip=dst or None,
-                protocol=int(proto) if proto else None,
-                start_ts=int(start),
-                end_ts=int(end),
-                category=cat,
-            )
-        )
+    for r, (src, dst, proto, start, end, cat) in enumerate(zip(*columns), 1):
+        try:
+            events.append(GroundTruthEvent(src or None, dst or None,
+                                           int(proto) if proto else None, start, end, cat))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: row {r}: {exc}") from exc
     return events
 
 
 def write_events_csv(path: str | Path, events: list[GroundTruthEvent], meta: dict | None = None):
-    header = ["src_ip", "dst_ip", "protocol", "start_ts", "end_ts", "category"]
-    rows = [
-        [
-            ev.src_ip or "",
-            ev.dst_ip or "",
-            "" if ev.protocol is None else ev.protocol,
-            ev.start_ts,
-            ev.end_ts,
-            ev.category,
-        ]
-        for ev in events
-    ]
-    _write_csv(path, header, rows, meta)
+    rows = ([ev.src_ip or "", ev.dst_ip or "", "" if ev.protocol is None else ev.protocol,
+             ev.start_ts, ev.end_ts, ev.category] for ev in events)
+    write_csv(path, _EVENT_HEADER, rows, meta)

@@ -9,7 +9,7 @@ without the original dataset object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +41,7 @@ class SavedModel:
 def _forest_payload(forest: Forest) -> dict:
     return {
         "n_features": forest.n_features,
-        "params": {
-            "n_trees": forest.params.n_trees,
-            "max_depth": forest.params.max_depth,
-            "min_samples_split": forest.params.min_samples_split,
-            "feature_subsample": forest.params.feature_subsample,
-            "seed": forest.params.seed,
-            "bootstrap": forest.params.bootstrap,
-        },
+        "params": asdict(forest.params),
         "trees": [
             {
                 "feature": t.feature.tolist(),
@@ -66,13 +59,7 @@ def _forest_payload(forest: Forest) -> dict:
 def _mlp_payload(mlp: Mlp) -> dict:
     return {
         "n_features": mlp.n_features,
-        "params": {
-            "hidden": list(mlp.params.hidden),
-            "learning_rate": mlp.params.learning_rate,
-            "epochs": mlp.params.epochs,
-            "batch_size": mlp.params.batch_size,
-            "seed": mlp.params.seed,
-        },
+        "params": asdict(mlp.params),
         "weights": [w.tolist() for w in mlp.weights],
         "biases": [b.tolist() for b in mlp.biases],
         "loss_history": list(mlp.loss_history),

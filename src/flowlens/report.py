@@ -3,14 +3,14 @@ rankings, explanation dumps, and the SVG charts built from them."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
+from .dataset import open_csv, typed_rows, write_csv
 from .evaluation import METRIC_NAMES, EvaluationReport, FoldMetrics
 from .explain import Explanation, GlobalRanking
+from .schema import SchemaError
 from .svg import grouped_bar_chart, horizontal_bar_chart
-from .util import meta_line, parse_meta_line
 
 TABLE_COLUMNS = ("Accuracy", "F1 Score", "DR", "FAR", "AUC", "Prediction Time")
 
@@ -47,37 +47,33 @@ _REPORT_HEADER = ["dataset", "feature_set", "model", "seed", "k", "fold", *METRI
 
 
 def write_report_csv(path: str | Path, report: EvaluationReport, meta: dict | None = None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if meta:
-            fh.write(meta_line(meta) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_REPORT_HEADER)
-        prefix = [report.dataset_name, report.feature_set, report.model_name,
-                  report.seed, report.k]
-        for fm in report.folds:
-            writer.writerow(prefix + [fm.fold] + [repr(getattr(fm, m)) for m in METRIC_NAMES])
-        means = report.means()
-        writer.writerow(prefix + ["mean"] + [repr(means[m]) for m in METRIC_NAMES])
+    prefix = [report.dataset_name, report.feature_set, report.model_name,
+              report.seed, report.k]
+    rows = [prefix + [fm.fold] + [repr(getattr(fm, m)) for m in METRIC_NAMES]
+            for fm in report.folds]
+    means = report.means()
+    rows.append(prefix + ["mean"] + [repr(means[m]) for m in METRIC_NAMES])
+    write_csv(path, _REPORT_HEADER, rows, meta)
 
 
 def read_report_csv(path: str | Path) -> EvaluationReport:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            first = fh.readline()
-        header = next(csv.reader([first]))
+    """The per-fold rows of a report CSV; its closing ``mean`` row is skipped.
+    A wrong header, a ragged row or a bad cell is a :class:`SchemaError`."""
+    with open_csv(path) as (header, _, reader):
         if header != _REPORT_HEADER:
-            raise ValueError(f"{path}: unexpected report header")
-        folds = []
-        dataset = feature_set = model = ""
-        seed = k = 0
-        for row in csv.reader(fh):
-            dataset, feature_set, model = row[0], row[1], row[2]
-            seed, k, fold = int(row[3]), int(row[4]), row[5]
-            if fold == "mean":
-                continue
-            values = [float(v) for v in row[6:]]
-            folds.append(FoldMetrics(int(fold), *values))
+            raise SchemaError(f"{path}: report header must be {_REPORT_HEADER}")
+        _, columns = typed_rows(path, header, reader, {3, 4, *range(6, len(header))},
+                                {0, 1, 2, 5}, 0)
+    folds = []
+    for r, (fold, *values) in enumerate(zip(*columns[5:]), 1):
+        if fold == "mean":
+            continue
+        if not fold.isdecimal():
+            raise SchemaError(f"{path}: row {r}, column 'fold': {fold!r} is not a fold number")
+        folds.append(FoldMetrics(int(fold), *values))
+    # The identifying cells are those of the last row.
+    dataset, feature_set, model, seed, k = ([c[-1] for c in columns[:5]] if columns[0]
+                                            else ["", "", "", 0, 0])
     return EvaluationReport(dataset_name=dataset, model_name=model, seed=seed, k=k,
                             folds=folds, feature_set=feature_set)
 
@@ -101,38 +97,25 @@ def write_report_jsonl(path: str | Path, report: EvaluationReport, meta: dict | 
 
 # --- rankings and explanation dumps --------------------------------------------
 
+_RANKING_HEADER = ["feature", "mean_abs_shap", "normalized", "rank"]
+
+
 def write_ranking_csv(path: str | Path, ranking: GlobalRanking, meta: dict | None = None):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if meta:
-            fh.write(meta_line(meta) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "mean_abs_shap", "normalized", "rank"])
-        for rank, idx in enumerate(ranking.order, start=1):
-            writer.writerow(
-                [
-                    ranking.feature_names[idx],
-                    repr(float(ranking.mean_abs[idx])),
-                    repr(float(ranking.normalized[idx])),
-                    rank,
-                ]
-            )
+    rows = ([ranking.feature_names[idx], repr(float(ranking.mean_abs[idx])),
+             repr(float(ranking.normalized[idx])), rank]
+            for rank, idx in enumerate(ranking.order, start=1))
+    write_csv(path, _RANKING_HEADER, rows, meta)
 
 
 def read_ranking_csv(path: str | Path) -> tuple[list[str], list[float], list[float]]:
-    """Returns (features, mean_abs, normalized) in rank order."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            first = fh.readline()
-        header = next(csv.reader([first]))
-        if header != ["feature", "mean_abs_shap", "normalized", "rank"]:
-            raise ValueError(f"{path}: unexpected ranking header")
-        feats, mean_abs, normalized = [], [], []
-        for row in csv.reader(fh):
-            feats.append(row[0])
-            mean_abs.append(float(row[1]))
-            normalized.append(float(row[2]))
-    return feats, mean_abs, normalized
+    """Returns (features, mean_abs, normalized) in rank order. A wrong header,
+    a ragged row or a bad number is a :class:`SchemaError`."""
+    with open_csv(path) as (header, _, reader):
+        if header != _RANKING_HEADER:
+            raise SchemaError(f"{path}: ranking header must be {_RANKING_HEADER}")
+        _, (features, mean_abs, normalized, _) = typed_rows(path, header, reader,
+                                                            {1, 2, 3}, {0}, 0)
+    return features, mean_abs, normalized
 
 
 def write_explanations_jsonl(

@@ -10,6 +10,7 @@ import pytest
 
 from flowlens.cli import build_parser, main
 from flowlens.dataset import read_feature_csv, read_labeled_csv
+from flowlens.util import parse_meta_line
 from conftest import (pcap_global_header, pcap_record, raw_ethernet, raw_ipv4,
                       raw_udp)
 
@@ -304,3 +305,143 @@ def test_extract_prints_skip_reasons(tmp_path, capsys):
     assert main(["extract", "--pcap", str(clean), "--schema", "netflow_v2",
                  "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"decoded 1 packets (0 skipped), 1 flows -> {out}\n"
+
+
+def _fill(argv, **paths):
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["train", "--model", "rf", "--feature-fraction", "abc"], "feature_fraction"),
+    (["train", "--model", "mlp", "--hidden", "4,x"], "hidden"),
+    (["train", "--model", "rf", "--config", "{conf}"], "trees"),
+    (["train", "--model", "mlp", "--batch-size", "0"], "batch_size"),
+    (["train", "--model", "rf", "--trees", "0"], "trees"),
+    (["train", "--model", "rf", "--seed", "-1"], "seed"),
+    (["eval", "--model", "rf", "--folds", "1"], "folds"),
+    (["eval", "--model-file", "{model}", "--timing-rows", "0"], "timing_rows"),
+    (["explain", "--model-file", "{model}", "--samples", "0"], "samples"),
+    (["explain", "--model-file", "{model}", "--background", "0"], "background"),
+    (["explain", "--model-file", "{model}", "--budget", "abc"], "budget"),
+])
+def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
+    conf = tmp_path / "run.conf"
+    conf.write_text("trees=abc\n")
+    out = tmp_path / "out"
+    command = _fill(argv, conf=conf, model=pipeline["model"])
+    command += ["--data", str(pipeline["labeled"]["netflow_v2"])]
+    command += ["--out", str(out)] if argv[0] == "train" else ["--out-dir", str(out)]
+    capsys.readouterr()
+    assert main(command) == 2
+    assert f"setting {setting}=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Provenance of valid settings, as recorded before values were range-checked:
+# checking a value must not change what config_hash covers.
+@pytest.mark.parametrize("argv, digest", [
+    (["train", "--model", "rf", "--trees", "3", "--feature-fraction", "0.5",
+      "--max-depth", "4", "--seed", "5", "--out", "{out}"], "2c0ed20b9c48adc6"),
+    (["train", "--model", "rf", "--config", "{conf}", "--out", "{out}"], "4182760087cecddf"),
+    (["train", "--model", "mlp", "--hidden", "8,4", "--batch-size", "16", "--epochs", "2",
+      "--learning-rate", "0.1", "--seed", "5", "--out", "{out}"], "eb59f8d9b7272d0e"),
+    (["eval", "--model", "rf", "--trees", "2", "--folds", "2", "--timing-rows", "4",
+      "--timing-repeats", "1", "--seed", "5", "--out-dir", "{out}"], "a0f56b97ab1f3944"),
+])
+def test_valid_settings_keep_their_config_hash(pipeline, tmp_path, argv, digest):
+    conf = tmp_path / "run.conf"
+    conf.write_text("trees=3\nfeature_fraction=0.5\nseed=5\n")
+    out = tmp_path / "out"
+    assert main(_fill(argv, conf=conf, out=out)
+                + ["--data", str(pipeline["labeled"]["netflow_v2"])]) == 0
+    if argv[0] == "train":
+        meta = json.loads(out.read_text(encoding="utf-8"))["meta"]
+    else:
+        meta = parse_meta_line(next(out.glob("*_report.csv")).read_text().splitlines()[0])
+    assert meta["config_hash"] == digest
+
+
+def test_model_file_provenance_is_its_content(pipeline, tmp_path, monkeypatch):
+    """The same model under a relative and an absolute path gives the same
+    explain files and the same eval provenance."""
+    model_dir = tmp_path / "models"
+    model_dir.mkdir()
+    (model_dir / "rf.json").write_bytes(pipeline["model"].read_bytes())
+    monkeypatch.chdir(model_dir)
+    data = str(pipeline["labeled"]["netflow_v2"])
+    for name, path in (("rel", "rf.json"), ("abs", str(model_dir / "rf.json"))):
+        assert main(["explain", "--data", data, "--model-file", path, "--samples", "4",
+                     "--background", "4", "--out-dir", str(tmp_path / name)]) == 0
+        assert main(["eval", "--data", data, "--model-file", path, "--timing-rows", "2",
+                     "--timing-repeats", "1", "--out-dir", str(tmp_path / name)]) == 0
+    rel, abs_ = sorted((tmp_path / "rel").iterdir()), sorted((tmp_path / "abs").iterdir())
+    assert [p.name for p in rel] == [p.name for p in abs_]
+    for a, b in zip(rel, abs_):
+        if "_explanations" in a.name or "_ranking" in a.name:
+            assert a.read_bytes() == b.read_bytes()
+        elif a.suffix == ".csv":  # eval reports: same provenance, measured timings differ
+            assert a.read_text().splitlines()[0] == b.read_text().splitlines()[0]
+
+
+def _report_csv(pipeline, tmp_path):
+    out = tmp_path / "eval"
+    assert main(["eval", "--data", str(pipeline["labeled"]["netflow_v2"]),
+                 "--model-file", str(pipeline["model"]), "--timing-rows", "2",
+                 "--timing-repeats", "1", "--out-dir", str(out)]) == 0
+    return next(out.glob("*_report.csv")).read_text()
+
+
+def _ranking_csv(pipeline, tmp_path):
+    out = tmp_path / "explain"
+    assert main(["explain", "--data", str(pipeline["labeled"]["netflow_v2"]),
+                 "--model-file", str(pipeline["model"]), "--samples", "4",
+                 "--background", "4", "--out-dir", str(out)]) == 0
+    return next(out.glob("*_ranking.csv")).read_text()
+
+
+def _replace_cell(text, line, column, value):
+    lines = text.splitlines(keepends=True)
+    cells = lines[line].rstrip("\n").split(",")
+    cells[column] = value
+    lines[line] = ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+# Each case: (flag, make the file's text, words the error must hold).
+# Line 0 of every file is the provenance line, line 1 the header.
+MALFORMED_TABLES = {
+    "report_header": ("--reports", lambda p, t: _report_csv(p, t).replace("fold", "folds", 1),
+                      ["header"]),
+    "ranking_empty": ("--rankings", lambda p, t: "", ["empty CSV"]),
+    "ranking_cell": ("--rankings", lambda p, t: _replace_cell(_ranking_csv(p, t), 3, 1, "x"),
+                     ["row 2", "'mean_abs_shap'", "'x'"]),
+    "ranking_short_row": ("--rankings", lambda p, t: _ranking_csv(p, t) + "alpha\n",
+                          ["has 1 cells"]),
+    "events_start": ("--events", lambda p, t: _replace_cell(p["events"].read_text(), 2, 3, "abc"),
+                     ["row 1", "'start_ts'", "'abc'"]),
+    "events_order": ("--events", lambda p, t: _replace_cell(p["events"].read_text(), 3, 3,
+                                                            "99999999999999"),
+                     ["row 2", "start after end"]),
+    "events_category": ("--events", lambda p, t: _replace_cell(p["events"].read_text(), 2, 5, ""),
+                        ["row 1", "category"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
+    flag, make, words = MALFORMED_TABLES[case]
+    bad = tmp_path / f"{case}.csv"
+    bad.write_text(make(pipeline, tmp_path))
+    out = tmp_path / "out"
+    if flag == "--events":
+        argv = ["label", "--features", str(pipeline["features"]["netflow_v2"]),
+                "--events", str(bad), "--out", str(out)]
+    else:
+        argv = ["report", flag, str(bad), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    for word in words:
+        assert word in err
+    assert not out.exists()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from flowlens.dataset import (BENIGN, FeatureTable, GroundTruthEvent,
                               LabeledDataset, LabelStats, MinMaxScaler,
                               drop_identifiers, kfold_split, label_flows,
-                              label_table, read_feature_csv, read_labeled_csv,
-                              write_feature_csv, write_labeled_csv)
+                              label_table, read_events_csv, read_feature_csv,
+                              read_labeled_csv, write_events_csv, write_feature_csv,
+                              write_labeled_csv)
 from flowlens.features import compute_features
 from flowlens.flows import assemble_flows
 from flowlens.schema import SchemaError, load_schema
@@ -258,3 +259,29 @@ def test_label_outside_0_1_rejected(tmp_path, label):
     path.write_text("".join(lines))
     with pytest.raises(SchemaError, match=r"row 1, column 'Label'"):
         read_labeled_csv(path)
+
+
+_EVENTS_HEADER = "src_ip,dst_ip,protocol,start_ts,end_ts,category\n"
+
+
+def test_events_csv_round_trip_keeps_wildcards(tmp_path):
+    events = [GroundTruthEvent(None, "10.0.0.2", None, 0, 5, "Scan"),
+              GroundTruthEvent("10.0.0.1", None, 0, 7, 7, "a,b")]
+    path = tmp_path / "gt.csv"
+    write_events_csv(path, events, meta={"seed": 1})
+    assert read_events_csv(path) == events
+
+
+@pytest.mark.parametrize("row, message", [
+    (",,,abc,5,Scan", r"row 2, column 'start_ts': 'abc' is not a finite number"),
+    (",,,1.5,5,Scan", r"row 2: event timestamps must be whole microseconds"),
+    (",,,9,5,Scan", r"row 2: event start after end"),
+    (",,,0,5,", r"row 2: event category must be non-empty"),
+    (",,tcp,0,5,Scan", r"row 2: invalid literal"),
+    (",,,0,5", r"row 2 has 5 cells"),
+])
+def test_malformed_event_rejected_naming_row(tmp_path, row, message):
+    path = tmp_path / "gt.csv"
+    path.write_text(_EVENTS_HEADER + ",10.0.0.2,6,0,5,DoS\n" + row + "\n")
+    with pytest.raises(SchemaError, match=message):
+        read_events_csv(path)

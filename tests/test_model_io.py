@@ -1,10 +1,13 @@
-"""Model files: round trips preserve behaviour, serialization is stable, and
-malformed files are rejected with ModelFormatError."""
+"""Model files: round trips preserve behaviour, serialization is stable (a
+saved model loaded and saved again gives the same bytes), and malformed files
+are rejected with ModelFormatError."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlens.dataset import MinMaxScaler
 from flowlens.forest import ForestParams, train_forest
@@ -189,3 +192,31 @@ def test_cyclic_tree_model_exits_2(tmp_path, capsys):
     assert main(["eval", "--data", str(labeled), "--model-file", str(model),
                  "--out-dir", str(tmp_path)]) == 2
     assert "child index" in capsys.readouterr().err
+
+
+FOREST_PARAMS = st.builds(
+    ForestParams, n_trees=st.integers(1, 3), max_depth=st.integers(0, 5),
+    min_samples_split=st.integers(2, 6),
+    feature_subsample=st.one_of(st.just("sqrt"), st.floats(0.01, 1.0)),
+    seed=st.integers(0, 2**32 - 1), bootstrap=st.booleans())
+MLP_PARAMS = st.builds(
+    MlpParams, hidden=st.lists(st.integers(1, 5), max_size=3).map(tuple),
+    learning_rate=st.floats(1e-4, 0.1), epochs=st.integers(0, 3),
+    batch_size=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.one_of(FOREST_PARAMS, MLP_PARAMS), data_seed=st.integers(0, 99))
+def test_save_load_save_is_byte_identical(tmp_path_factory, params, data_seed):
+    X, y = _data(seed=data_seed, n=30, p=3)
+    train = train_forest if isinstance(params, ForestParams) else train_mlp
+    model = train(X, y, params, schema_fingerprint="fp")
+    tmp = tmp_path_factory.mktemp("model")
+    first, second = tmp / "first.json", tmp / "second.json"
+    save_model(first, model, scaler=MinMaxScaler.fit(X), feature_names=["a", "b", "c"],
+               meta={"config_hash": "x", "seed": data_seed})
+    saved = load_model(first)
+    assert saved.model.params == params
+    save_model(second, saved.model, scaler=saved.scaler, feature_names=saved.feature_names,
+               meta=saved.meta)
+    assert second.read_bytes() == first.read_bytes()
