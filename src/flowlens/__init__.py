@@ -1,37 +1,51 @@
 """flowlens: flow feature extraction, binary traffic classifiers, and
-Shapley-value model explanations for packet captures."""
+Shapley-value model explanations for packet captures.
 
-from .dataset import (FeatureTable, GroundTruthEvent, LabeledDataset,
-                      MinMaxScaler, drop_identifiers, kfold_split, label_flows,
-                      label_table)
-from .evaluation import (ConfusionMatrix, EvaluationReport, ModelSpec,
-                         binary_metrics, crossval_evaluate,
-                         measure_prediction_time, roc_auc)
-from .explain import (CoalitionValueFunction, Explanation, GlobalRanking,
-                      compile_tree_shap, exact_shapley, explain_samples,
-                      global_ranking, kernel_shap, tree_shap)
-from .features import compute_cic_features, compute_features, compute_netflow_features
-from .flows import FlowKey, FlowRecord, assemble_flows
-from .forest import Forest, ForestParams, train_forest
-from .mlp import Mlp, MlpParams, mlp_gradient, train_mlp
-from .model_io import load_model, save_model
-from .pcap import PacketRecord, ParseStats, parse_pcap, write_pcap
-from .schema import FeatureSchema, load_schema
-from .synth import ScenarioParams, generate_scenario
+The public names are imported on first access (PEP 562), so ``import
+flowlens`` loads no submodule, and a command that needs no numpy does not
+import it.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoalitionValueFunction", "ConfusionMatrix", "EvaluationReport",
-    "Explanation", "FeatureSchema", "FeatureTable", "FlowKey", "FlowRecord",
-    "Forest", "ForestParams", "GlobalRanking", "GroundTruthEvent",
-    "LabeledDataset", "MinMaxScaler", "Mlp", "MlpParams", "ModelSpec",
-    "PacketRecord", "ParseStats", "ScenarioParams", "assemble_flows",
-    "binary_metrics", "compile_tree_shap", "compute_cic_features",
-    "compute_features", "compute_netflow_features", "crossval_evaluate",
-    "drop_identifiers", "exact_shapley", "explain_samples", "generate_scenario",
-    "global_ranking", "kernel_shap", "kfold_split", "label_flows",
-    "label_table", "load_model", "load_schema", "measure_prediction_time",
-    "mlp_gradient", "parse_pcap", "roc_auc", "save_model", "train_forest",
-    "train_mlp", "tree_shap", "write_pcap",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "FeatureTable": "dataset", "GroundTruthEvent": "dataset",
+    "LabeledDataset": "dataset", "MinMaxScaler": "dataset",
+    "drop_identifiers": "dataset", "kfold_split": "dataset",
+    "label_flows": "dataset", "label_table": "dataset",
+    "ConfusionMatrix": "evaluation", "EvaluationReport": "evaluation",
+    "ModelSpec": "evaluation", "binary_metrics": "evaluation",
+    "crossval_evaluate": "evaluation", "measure_prediction_time": "evaluation",
+    "roc_auc": "evaluation",
+    "CoalitionValueFunction": "explain", "Explanation": "explain",
+    "GlobalRanking": "explain", "compile_tree_shap": "explain",
+    "exact_shapley": "explain", "explain_samples": "explain",
+    "global_ranking": "explain", "kernel_shap": "explain", "tree_shap": "explain",
+    "compute_cic_features": "features", "compute_features": "features",
+    "compute_netflow_features": "features",
+    "FlowKey": "flows", "FlowRecord": "flows", "assemble_flows": "flows",
+    "Forest": "forest", "ForestParams": "forest", "train_forest": "forest",
+    "Mlp": "mlp", "MlpParams": "mlp", "mlp_gradient": "mlp", "train_mlp": "mlp",
+    "load_model": "model_io", "save_model": "model_io",
+    "PacketRecord": "pcap", "ParseStats": "pcap", "parse_pcap": "pcap",
+    "write_pcap": "pcap",
+    "FeatureSchema": "schema", "load_schema": "schema",
+    "ScenarioParams": "synth", "generate_scenario": "synth",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,34 +7,63 @@ except eval reports, which embed the measured prediction time.
 Exit codes: 0 ok, 2 input error, 3 consistency error (column fingerprint
 mismatches), 1 internal error. Seed precedence: --seed flag, then the config
 file, then the FLOWLENS_SEED environment variable, then the default.
+
+Each subcommand imports only the modules it uses: extract and label run
+without importing numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds_mod
-from . import explain as explain_mod
-from . import report as report_mod
-from .evaluation import EvaluationReport, ModelSpec, crossval_evaluate, evaluate_split
-from .explain import FingerprintMismatch
 from .features import compute_features
 from .flows import (DEFAULT_ACTIVE_TIMEOUT, DEFAULT_ACTIVITY_TIMEOUT,
                     DEFAULT_IDLE_TIMEOUT, assemble_flows)
-from .forest import Forest, ForestParams, train_forest
-from .mlp import MlpParams, train_mlp
-from .model_io import ModelFormatError, load_model, save_model
 from .pcap import ParseStats, PcapFormatError, parse_pcap, write_pcap
-from .schema import SchemaError, load_schema
-from .synth import ScenarioParams, generate_scenario
+from .schema import FingerprintMismatch, ModelFormatError, SchemaError, load_schema
 from .util import config_hash, meta_line
+
+# Names from numpy and the modules that import it, bound on first use by
+# __getattr__, so that extract and label never import numpy. Commands read
+# them through ``_cli``, this module, so a value already set on the module
+# (a tracer's wrapper, say) is the one they call.
+_LAZY = {
+    "np": ("numpy", None),
+    "explain_mod": (".explain", None),
+    "report_mod": (".report", None),
+    "EvaluationReport": (".evaluation", "EvaluationReport"),
+    "ModelSpec": (".evaluation", "ModelSpec"),
+    "crossval_evaluate": (".evaluation", "crossval_evaluate"),
+    "evaluate_split": (".evaluation", "evaluate_split"),
+    "Forest": (".forest", "Forest"),
+    "ForestParams": (".forest", "ForestParams"),
+    "MlpParams": (".mlp", "MlpParams"),
+    "load_model": (".model_io", "load_model"),
+    "save_model": (".model_io", "save_model"),
+    "ScenarioParams": (".synth", "ScenarioParams"),
+    "generate_scenario": (".synth", "generate_scenario"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _LAZY[name]
+    value = import_module(module, __package__)
+    if attr is not None:
+        value = getattr(value, attr)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 DEFAULT_SEED = 7
 SEED_ENV_VAR = "FLOWLENS_SEED"
@@ -111,6 +140,14 @@ def _at_least(low: int):
     return cast
 
 
+def _finite_positive(value) -> float:
+    """A cast to float that refuses NaN, infinities and values not above 0."""
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise ValueError("must be a finite number above 0")
+    return number
+
+
 def _feature_fraction(value) -> float | str:
     if value == "sqrt":
         return value
@@ -146,15 +183,16 @@ def _out_dir(path: str) -> Path:
 def cmd_synth(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    params = ScenarioParams(
-        benign_http=st.get("benign_http", ScenarioParams.benign_http, int),
-        benign_dns=st.get("benign_dns", ScenarioParams.benign_dns, int),
-        flood_flows=st.get("flood_flows", ScenarioParams.flood_flows, int),
-        dos_flows=st.get("dos_flows", ScenarioParams.dos_flows, int),
+    scenario = _cli.ScenarioParams
+    params = scenario(
+        benign_http=st.get("benign_http", scenario.benign_http, int),
+        benign_dns=st.get("benign_dns", scenario.benign_dns, int),
+        flood_flows=st.get("flood_flows", scenario.flood_flows, int),
+        dos_flows=st.get("dos_flows", scenario.dos_flows, int),
         seed=seed,
     )
     out = _out_dir(args.out_dir)
-    packets, events = generate_scenario(params)
+    packets, events = _cli.generate_scenario(params)
     with open(out / "synth.pcap", "wb") as fh:
         write_pcap(fh, packets)
     ds_mod.write_events_csv(out / "ground_truth.csv", events, meta=st.provenance())
@@ -165,9 +203,9 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     st = Settings(args)
     st.seed()
-    idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, float)
-    active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, float)
-    activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, float)
+    idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, _finite_positive)
+    active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, _finite_positive)
+    activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, _finite_positive)
     threads = st.get("threads", 1, int)
     st.effective["schema"] = args.schema
     schema = load_schema(args.schema)
@@ -182,6 +220,8 @@ def cmd_extract(args) -> int:
         return compute_features(flow, schema, activity_timeout=activity)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(build, flows))
     else:
@@ -214,22 +254,22 @@ def cmd_label(args) -> int:
 def _model_spec(st: Settings, seed: int) -> ModelSpec:
     kind = st.args.model
     st.effective["model"] = kind
-    forest = ForestParams(
+    forest = _cli.ForestParams(
         n_trees=st.get("trees", 100, _at_least(1)),
-        max_depth=st.get("max_depth", 16, int),
-        min_samples_split=st.get("min_samples_split", 2, int),
+        max_depth=st.get("max_depth", 16, _at_least(1)),
+        min_samples_split=st.get("min_samples_split", 2, _at_least(2)),
         feature_subsample=st.get("feature_fraction", "sqrt", _feature_fraction),
         seed=seed,
     )
     hidden = st.get("hidden", "64,32,16", _layer_sizes)
-    mlp = MlpParams(
+    mlp = _cli.MlpParams(
         hidden=tuple(int(h) for h in hidden.split(",") if h),
-        learning_rate=st.get("learning_rate", 0.05, float),
-        epochs=st.get("epochs", 60, int),
+        learning_rate=st.get("learning_rate", 0.05, _finite_positive),
+        epochs=st.get("epochs", 60, _at_least(1)),
         batch_size=st.get("batch_size", 32, _at_least(1)),
         seed=seed,
     )
-    return ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
+    return _cli.ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
 
 
 def cmd_train(args) -> int:
@@ -244,13 +284,14 @@ def cmd_train(args) -> int:
     fingerprint = labeled.schema.fingerprint()
     model = spec.train(scaler.transform(X_raw), labeled.y(), threads=threads,
                        fingerprint=fingerprint)
-    save_model(args.out, model, scaler=scaler,
+    _cli.save_model(args.out, model, scaler=scaler,
                feature_names=labeled.schema.learnable_names, meta=st.provenance())
     print(f"trained {spec.kind} on {len(X_raw)} rows -> {args.out}")
     return EXIT_OK
 
 
 def _write_report_files(out_dir: Path, stem: str, report, provenance: dict):
+    report_mod = _cli.report_mod
     base = out_dir / stem
     report_mod.write_report_csv(f"{base}_report.csv", report, meta=provenance)
     report_mod.write_report_jsonl(f"{base}_report.jsonl", report, meta=provenance)
@@ -265,7 +306,7 @@ def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledDataset):
     records the sha256 of the file's bytes, not its path."""
     model_file = _require_file(path, "model file")
     st.effective["model_file"] = hashlib.sha256(model_file.read_bytes()).hexdigest()
-    saved = load_model(model_file)
+    saved = _cli.load_model(model_file)
     if saved.model.schema_fingerprint != labeled.schema.fingerprint():
         raise FingerprintMismatch("model and dataset were built from different feature columns")
     if saved.scaler is None:
@@ -284,18 +325,18 @@ def cmd_eval(args) -> int:
 
     if args.model_file:
         saved = _load_saved_model(st, args.model_file, labeled)
-        fold = evaluate_split(saved.model, saved.scaler, labeled.X(), labeled.y(),
+        fold = _cli.evaluate_split(saved.model, saved.scaler, labeled.X(), labeled.y(),
                               timing_rows=timing_rows, timing_repeats=timing_repeats)
-        report = EvaluationReport(dataset_name=dataset_name, model_name=saved.kind,
-                                  seed=seed, k=1, folds=[fold],
-                                  feature_set=labeled.schema.name)
+        report = _cli.EvaluationReport(dataset_name=dataset_name, model_name=saved.kind,
+                                       seed=seed, k=1, folds=[fold],
+                                       feature_set=labeled.schema.name)
         stem = f"{dataset_name}_{saved.kind}_saved"
     else:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
         k = st.get("folds", 5, _at_least(2))
         spec = _model_spec(st, seed)
-        report = crossval_evaluate(
+        report = _cli.crossval_evaluate(
             labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
             threads=threads, timing_rows=timing_rows, timing_repeats=timing_repeats,
             feature_set=labeled.schema.name,
@@ -319,10 +360,17 @@ def cmd_explain(args) -> int:
     saved = _load_saved_model(st, args.model_file, labeled)
     fingerprint = labeled.schema.fingerprint()
 
+    explain_mod, np = _cli.explain_mod, _cli.np
+
     method = args.method
     if method is None:
-        method = "tree" if isinstance(saved.model, Forest) else "kernel"
+        method = "tree" if isinstance(saved.model, _cli.Forest) else "kernel"
     st.effective["method"] = method
+    if method == "kernel" and budget != "full":
+        p = saved.model.n_features
+        low = explain_mod.min_coalition_budget(p)
+        if budget < low:
+            raise CliError(f"setting budget={budget}: must be at least {low} for {p} features")
 
     X = saved.scaler.transform(labeled.X())
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
@@ -340,6 +388,7 @@ def cmd_explain(args) -> int:
     out = _out_dir(args.out_dir)
     stem = f"{Path(args.data).stem}_{saved.kind}_{method}"
     provenance = st.provenance()
+    report_mod = _cli.report_mod
     report_mod.write_explanations_jsonl(out / f"{stem}_explanations.jsonl",
                                         explanations, seed=seed, meta=provenance)
     report_mod.write_ranking_csv(out / f"{stem}_ranking.csv", ranking, meta=provenance)
@@ -352,7 +401,8 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     st = Settings(args)
     st.seed()
-    top_k = st.get("top_k", 20, int)
+    top_k = st.get("top_k", 20, _at_least(1))
+    report_mod = _cli.report_mod
     reports = [report_mod.read_report_csv(_require_file(p, "report CSV"))
                for p in (args.reports or [])]
     rankings = [(Path(p).stem, report_mod.read_ranking_csv(_require_file(p, "ranking CSV")))

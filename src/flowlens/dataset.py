@@ -5,6 +5,11 @@ All operations are pure transforms. Every CSV flowlens writes or reads back
 (feature, labeled, ground truth, report, ranking) goes through
 :func:`write_csv` and :func:`open_csv` / :func:`typed_rows`: UTF-8 with LF
 endings, one optional ``#`` provenance line, a header, and typed columns.
+
+Numpy is imported only by the code that builds matrices
+(:meth:`FeatureTable.learnable_matrix`, ``LabeledDataset.X``/``y``,
+:class:`MinMaxScaler`, :func:`kfold_split`), so reading, labeling and
+writing tables runs without it.
 """
 
 from __future__ import annotations
@@ -17,13 +22,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .flows import FlowRecord
 from .schema import CIC, NETFLOW_V2, FeatureSchema, SchemaError, load_schema
 from .util import format_value, meta_line, parse_meta_line
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BENIGN = "Benign"
 
@@ -55,6 +61,8 @@ class FeatureTable:
                 )
 
     def learnable_matrix(self) -> np.ndarray:
+        import numpy as np
+
         idx = self.schema.learnable_indices
         rows = self.rows
         if len(idx) != self.schema.width():
@@ -86,6 +94,8 @@ class LabeledDataset:
         return self.table.learnable_matrix()
 
     def y(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.labels, dtype=int)
 
 
@@ -231,6 +241,8 @@ class MinMaxScaler:
         return cls(mins=rows.min(axis=0), maxs=rows.max(axis=0))
 
     def transform(self, rows: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         span = self.maxs - self.mins
         safe = np.where(span == 0, 1.0, span)
         out = (rows - self.mins) / safe
@@ -263,6 +275,8 @@ def kfold_split(
     Falls back to unstratified folds (with a warning) when some class has
     fewer than k rows.
     """
+    import numpy as np
+
     y = np.asarray(labels, dtype=int)
     n = len(y)
     if k < 2:

@@ -30,12 +30,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forest import Forest
+from .schema import FingerprintMismatch
 
 EXACT_FEATURE_LIMIT = 20
-
-
-class FingerprintMismatch(ValueError):
-    """Model and data were built against different feature columns."""
 
 
 @dataclass
@@ -198,6 +195,12 @@ def _sample_coalitions(
     return np.array(masks, dtype=np.int64), np.array(weights)
 
 
+def min_coalition_budget(p: int) -> int:
+    """The smallest kernel SHAP budget over ``p`` features: the empty and
+    full coalitions, and one more value evaluation per feature."""
+    return p + 2
+
+
 def kernel_shap(
     vf: CoalitionValueFunction,
     coalition_budget: int | str = "full",
@@ -217,8 +220,9 @@ def kernel_shap(
         budget = (1 << p)  # everything
     else:
         budget = int(coalition_budget)
-        if budget < p + 2:
-            raise ValueError(f"coalition budget {budget} below minimum {p + 2}")
+        low = min_coalition_budget(p)
+        if budget < low:
+            raise ValueError(f"coalition budget {budget} below minimum {low}")
 
     base = vf.base_value()
     fx = vf.full_value()

@@ -17,13 +17,10 @@ import numpy as np
 from .dataset import MinMaxScaler
 from .forest import DecisionTree, Forest, ForestParams
 from .mlp import Mlp, MlpParams
+from .schema import ModelFormatError
 
 FORMAT_NAME = "flowlens-model"
 FORMAT_VERSION = 1
-
-
-class ModelFormatError(ValueError):
-    pass
 
 
 @dataclass

@@ -28,6 +28,16 @@ class SchemaError(ValueError):
     """Raised for malformed manifests or schema misuse."""
 
 
+# Errors of the model modules live here, in a module without numpy, so that
+# the CLI can catch them without importing those modules.
+class FingerprintMismatch(ValueError):
+    """Model and data were built against different feature columns."""
+
+
+class ModelFormatError(ValueError):
+    """A model file that cannot be read back as a flowlens model."""
+
+
 @dataclass(frozen=True)
 class ColumnDef:
     name: str

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-
-import numpy as np
+import sys
 
 
 def format_value(v) -> str:
@@ -13,7 +12,8 @@ def format_value(v) -> str:
 
     Plain ``int``, ``float`` and ``str`` cells, which make up whole feature
     tables, are dispatched on their exact type; anything else (bools, numpy
-    scalars) takes the generic path, which gives the same text.
+    scalars) takes the generic path, which gives the same text. Numpy is
+    not imported here: a numpy scalar can exist only once numpy is loaded.
     """
     t = type(v)
     if t is int:
@@ -23,7 +23,8 @@ def format_value(v) -> str:
     if t is not float:
         if isinstance(v, str):
             return v
-        if isinstance(v, (bool, np.bool_, int, np.integer)):
+        np = sys.modules.get("numpy")
+        if isinstance(v, int) or (np is not None and isinstance(v, (np.bool_, np.integer))):
             return str(int(v))
         v = float(v)
     if v.is_integer() and abs(v) < 1e15:

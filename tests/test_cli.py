@@ -323,6 +323,10 @@ def _fill(argv, **paths):
     (["explain", "--model-file", "{model}", "--samples", "0"], "samples"),
     (["explain", "--model-file", "{model}", "--background", "0"], "background"),
     (["explain", "--model-file", "{model}", "--budget", "abc"], "budget"),
+    (["train", "--model", "mlp", "--learning-rate", "nan"], "learning_rate"),
+    (["train", "--model", "mlp", "--epochs", "0"], "epochs"),
+    (["train", "--model", "rf", "--max-depth", "-1"], "max_depth"),
+    (["train", "--model", "rf", "--min-samples-split", "1"], "min_samples_split"),
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
@@ -335,6 +339,47 @@ def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting
     assert main(command) == 2
     assert f"setting {setting}=" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--idle-timeout", "nan"),
+    ("--idle-timeout", "0"),
+    ("--active-timeout", "-5"),
+    ("--activity-timeout", "inf"),
+])
+def test_bad_timeout_exits_2_naming_it(pipeline, tmp_path, capsys, flag, value):
+    out = tmp_path / "features.csv"
+    capsys.readouterr()
+    assert main(["extract", "--pcap", str(pipeline["pcap"]), "--schema", "netflow_v2",
+                 "--out", str(out), flag, value]) == 2
+    setting = flag[2:].replace("-", "_")
+    assert f"setting {setting}={float(value)}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_top_k_below_1_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["report", "--rankings", str(tmp_path / "ranking.csv"), "--top-k", "-1",
+                 "--out-dir", str(out)]) == 2
+    assert "setting top_k=-1: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_budget_below_minimum_exits_2_naming_it(pipeline, tmp_path, capsys):
+    """Kernel SHAP needs the empty and full coalitions plus one value per
+    feature: a budget below that is an input error, and the minimum runs."""
+    data = pipeline["labeled"]["netflow_v2"]
+    minimum = len(read_labeled_csv(data)[0].schema.learnable_names) + 2
+    command = ["explain", "--data", str(data), "--model-file", str(pipeline["model"]),
+               "--method", "kernel", "--samples", "1", "--background", "2"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(command + ["--budget", str(minimum - 1), "--out-dir", str(out)]) == 2
+    assert (f"setting budget={minimum - 1}: must be at least {minimum}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert main(command + ["--budget", str(minimum), "--out-dir", str(out)]) == 0
 
 
 # Provenance of valid settings, as recorded before values were range-checked:

@@ -160,3 +160,49 @@ def test_assembly_invariants(stream, idle, active, data):
     assert (assemble_flows(shuffled, idle_timeout=idle, active_timeout=active)
             == assemble_flows(sorted(shuffled, key=lambda p: p.ts_micros),
                               idle_timeout=idle, active_timeout=active))
+
+
+def _closing_index(flow):
+    """Index of the packet that closes a TCP flow: an RST, or the FIN that
+    completes FINs in both directions. None if no packet closes it."""
+    fin_directions = set()
+    for i, (forward, p) in enumerate(flow.packets):
+        if p.protocol != 6:
+            return None
+        if p.tcp_flags & RST:
+            return i
+        if p.tcp_flags & FIN:
+            fin_directions.add(forward)
+            if len(fin_directions) == 2:
+                return i
+    return None
+
+
+def _same_key(p, key):
+    return p.protocol == key.protocol and (
+        {(p.src_ip, p.src_port), (p.dst_ip, p.dst_port)}
+        == {(key.ip_a, key.port_a), (key.ip_b, key.port_b)})
+
+
+@settings(max_examples=150)
+@given(stream=st.lists(packets(), max_size=30), idle=st.sampled_from([1.0, 2.5, 5.0]),
+       active=st.sampled_from([3.0, 10.0, 120.0]))
+def test_expiry_reason_matches_packets(stream, idle, active):
+    flows = assemble_flows(stream, idle_timeout=idle, active_timeout=active)
+    ordered = sorted(stream, key=lambda p: p.ts_micros)
+    position = {id(p): i for i, p in enumerate(ordered)}
+    idle_us, active_us = int(idle * 1_000_000), int(active * 1_000_000)
+    for f in flows:
+        # fin_rst exactly when the last packet closes the flow; a flow that
+        # expired another way holds no closing packet at all.
+        last = len(f.packets) - 1
+        assert _closing_index(f) == (last if f.expiry_reason == FIN_RST else None)
+
+        after = ordered[position[id(f.packets[last][1])] + 1:]
+        following = next((p for p in after if _same_key(p, f.key)), None)
+        if f.expiry_reason == END_OF_CAPTURE:
+            assert following is None
+        elif f.expiry_reason == IDLE_TIMEOUT:
+            assert following.ts_micros - f.last_ts > idle_us
+        elif f.expiry_reason == ACTIVE_TIMEOUT:
+            assert following.ts_micros - f.first_ts > active_us
