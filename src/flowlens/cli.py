@@ -185,10 +185,10 @@ def cmd_synth(args) -> int:
     seed = st.seed()
     scenario = _cli.ScenarioParams
     params = scenario(
-        benign_http=st.get("benign_http", scenario.benign_http, int),
-        benign_dns=st.get("benign_dns", scenario.benign_dns, int),
-        flood_flows=st.get("flood_flows", scenario.flood_flows, int),
-        dos_flows=st.get("dos_flows", scenario.dos_flows, int),
+        benign_http=st.get("benign_http", scenario.benign_http, _at_least(0)),
+        benign_dns=st.get("benign_dns", scenario.benign_dns, _at_least(0)),
+        flood_flows=st.get("flood_flows", scenario.flood_flows, _at_least(0)),
+        dos_flows=st.get("dos_flows", scenario.dos_flows, _at_least(0)),
         seed=seed,
     )
     out = _out_dir(args.out_dir)
@@ -206,7 +206,7 @@ def cmd_extract(args) -> int:
     idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, _finite_positive)
     active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, _finite_positive)
     activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, _finite_positive)
-    threads = st.get("threads", 1, int)
+    threads = st.get("threads", 1, _at_least(1))
     st.effective["schema"] = args.schema
     schema = load_schema(args.schema)
 
@@ -275,7 +275,7 @@ def _model_spec(st: Settings, seed: int) -> ModelSpec:
 def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    threads = st.get("threads", 1, int)
+    threads = st.get("threads", 1, _at_least(1))
     labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
     spec = _model_spec(st, seed)
 
@@ -317,7 +317,7 @@ def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledDataset):
 def cmd_eval(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    threads = st.get("threads", 1, int)
+    threads = st.get("threads", 1, _at_least(1))
     timing_rows = st.get("timing_rows", 256, _at_least(1))
     timing_repeats = st.get("timing_repeats", 3, _at_least(1))
     labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
@@ -366,8 +366,15 @@ def cmd_explain(args) -> int:
     if method is None:
         method = "tree" if isinstance(saved.model, _cli.Forest) else "kernel"
     st.effective["method"] = method
+    p = saved.model.n_features
+    limit = explain_mod.EXACT_FEATURE_LIMIT
+    if method == "exact" and p > limit:
+        raise CliError(f"setting method=exact: needs at most {limit} features, "
+                       f"the model has {p}")
+    if method == "kernel" and budget == "full" and p > limit:
+        raise CliError(f"setting budget=full: needs at most {limit} features, "
+                       f"the model has {p}")
     if method == "kernel" and budget != "full":
-        p = saved.model.n_features
         low = explain_mod.min_coalition_budget(p)
         if budget < low:
             raise CliError(f"setting budget={budget}: must be at least {low} for {p} features")

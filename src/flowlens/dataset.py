@@ -439,16 +439,15 @@ def typed_rows(
     path: str | Path,
     header: list[str],
     reader: Iterator[list[str]],
-    numeric: set[int],
     text: set[int],
     width: int,
 ) -> tuple[list[list], list[list]]:
     """Rows of the first ``width`` columns, and the cells of each column after
-    them, typed a column at a time in chunks of rows: ``numeric`` columns
-    must hold finite numbers, ``text`` columns stay strings, and the others
-    become numbers where every cell is one. With ``width`` 0 every column
-    comes back as a list of cells. A ragged row is a :class:`SchemaError`
-    naming the file and row, a bad number one naming its row and column."""
+    them, typed a column at a time in chunks of rows: ``text`` columns stay
+    strings, and every other column must hold finite numbers. With ``width``
+    0 every column comes back as a list of cells. A ragged row is a
+    :class:`SchemaError` naming the file and row, a bad number one naming its
+    row and column."""
     rows: list[list] = []
     tail: list[list] = [[] for _ in header[width:]]
     done = 0  # rows read before this chunk
@@ -456,12 +455,10 @@ def typed_rows(
         check_widths(path, header, chunk, done)
         columns = []
         for j, cells in enumerate(zip(*chunk)):
-            if j in numeric:
-                columns.append(_number_column(path, header[j], cells, done))
-            elif j in text:
+            if j in text:
                 columns.append(cells)
             else:
-                columns.append(_parse_column(cells))
+                columns.append(_number_column(path, header[j], cells, done))
         rows += map(list, zip(*columns[:width]))
         for cells, typed in zip(tail, columns[width:]):
             cells += typed
@@ -488,8 +485,7 @@ def read_feature_csv(path: str | Path) -> tuple[FeatureTable, dict]:
         schema, labeled = _schema_for_header(header)
         if labeled:
             raise SchemaError(f"{path}: labeled CSV passed where features expected")
-        rows, _ = typed_rows(path, header, reader, set(schema.learnable_indices),
-                              _text_columns(schema), schema.width())
+        rows, _ = typed_rows(path, header, reader, _text_columns(schema), schema.width())
     return FeatureTable(schema, rows), meta
 
 
@@ -500,8 +496,7 @@ def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
             raise SchemaError(f"{path}: CSV has no {LABEL_COLUMN}/{CATEGORY_COLUMN} columns")
         width = schema.width()  # the label and category columns follow
         rows, (labels, categories) = typed_rows(
-            path, header, reader, {*schema.learnable_indices, width},
-            _text_columns(schema) | {width + 1}, width)
+            path, header, reader, _text_columns(schema) | {width + 1}, width)
     bad = next((r for r, v in enumerate(labels, 1) if v not in (0, 1)), None)
     if bad is not None:
         raise SchemaError(f"{path}: row {bad}, column {LABEL_COLUMN!r}: label must be 0 or 1")
@@ -522,7 +517,7 @@ def read_events_csv(path: str | Path) -> list[GroundTruthEvent]:
     with open_csv(path) as (header, _, reader):
         if header != _EVENT_HEADER:
             raise SchemaError(f"{path}: ground truth header must be {_EVENT_HEADER}")
-        _, columns = typed_rows(path, header, reader, {3, 4}, {0, 1, 2, 5}, 0)
+        _, columns = typed_rows(path, header, reader, {0, 1, 2, 5}, 0)
     events = []
     for r, (src, dst, proto, start, end, cat) in enumerate(zip(*columns), 1):
         try:

@@ -72,16 +72,10 @@ def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=float)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # 1-based average rank
-        i = j + 1
+    # A run of c tied scores ending at 1-based sorted position e shares the
+    # average rank e - (c - 1) / 2, a half-integer and so exact in a float.
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

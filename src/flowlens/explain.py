@@ -56,22 +56,18 @@ class CoalitionValueFunction:
         return len(self.x)
 
     def value(self, subset: Sequence[int]) -> float:
-        mask = 0
-        for j in subset:
-            mask |= 1 << int(j)
-        return float(self.values_for_masks(np.array([mask]))[0])
+        mask = np.zeros((1, self.p), dtype=bool)
+        mask[0, np.asarray(list(subset), dtype=np.int64)] = True
+        return float(self.values_for_masks(mask)[0])
 
     def values_for_masks(self, masks: np.ndarray, chunk: int = 2048) -> np.ndarray:
-        """One evaluation per coalition bitmask, averaged over the background."""
-        masks = np.asarray(masks, dtype=np.int64)
+        """One evaluation per coalition, averaged over the background.
+        ``masks`` is a (coalitions, p) bool matrix: True takes x's value."""
         nb = len(self.background)
         out = np.empty(len(masks))
         for start in range(0, len(masks), chunk):
             part = masks[start : start + chunk]
-            Z = np.repeat(self.background[None, :, :], len(part), axis=0)
-            for j in range(self.p):
-                sel = (part >> j) & 1 == 1
-                Z[sel, :, j] = self.x[j]
+            Z = np.where(part[:, None, :], self.x, self.background)
             preds = np.asarray(self.predict(Z.reshape(-1, self.p)), dtype=float)
             out[start : start + len(part)] = preds.reshape(len(part), nb).mean(axis=1)
         return out
@@ -91,7 +87,6 @@ class Explanation:
     base_value: float
     predicted: float
     method: str
-    coalition_budget: int | str | None = None
 
     def additivity_gap(self) -> float:
         return abs(self.base_value + float(self.phi.sum()) - self.predicted)
@@ -105,11 +100,9 @@ def _subset_weights(p: int) -> np.ndarray:
     )
 
 
-def _popcounts(n_masks: int) -> np.ndarray:
-    counts = np.zeros(n_masks, dtype=np.int64)
-    for i in range(1, n_masks):
-        counts[i] = counts[i >> 1] + (i & 1)
-    return counts
+def _unpack(masks: np.ndarray, p: int) -> np.ndarray:
+    """int64 coalition bitmasks as a (coalitions, p) bool matrix."""
+    return (masks[:, None] >> np.arange(p)) & 1 == 1
 
 
 def exact_shapley(vf: CoalitionValueFunction) -> Explanation:
@@ -124,12 +117,12 @@ def exact_shapley(vf: CoalitionValueFunction) -> Explanation:
             f"{p} features exceeds the exact enumeration limit "
             f"({EXACT_FEATURE_LIMIT}); use kernel_shap instead"
         )
-    n_masks = 1 << p
-    vals = vf.values_for_masks(np.arange(n_masks))
-    sizes = _popcounts(n_masks)
+    all_masks = np.arange(1 << p)
+    coalitions = _unpack(all_masks, p)
+    vals = vf.values_for_masks(coalitions)
+    sizes = coalitions.sum(axis=1)
     w = _subset_weights(p)
     phi = np.zeros(p)
-    all_masks = np.arange(n_masks)
     for j in range(p):
         bit = 1 << j
         without = all_masks[(all_masks & bit) == 0]
@@ -154,15 +147,15 @@ def _size_mass(p: int, size: int) -> float:
 def _sample_coalitions(
     p: int, budget: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coalition masks and weights: deterministic rings of size 1 and p-1
-    first, then seeded size-weighted sampling for the remaining budget."""
+    """Coalitions, as a (coalitions, p) bool matrix, and their weights:
+    deterministic rings of size 1 and p-1 first, then seeded size-weighted
+    sampling for the remaining budget."""
     full = (1 << p) - 1
     n_avail = budget - 2  # empty and full coalitions are handled as constraints
     if n_avail >= (1 << p) - 2:
-        masks = np.array([m for m in range(1, full)], dtype=np.int64)
-        sizes = _popcounts(1 << p)[masks]
-        weights = np.array([_kernel_weight(p, int(s)) for s in sizes])
-        return masks, weights
+        coalitions = _unpack(np.arange(1, full), p)
+        weights = np.array([_kernel_weight(p, int(s)) for s in coalitions.sum(axis=1)])
+        return coalitions, weights
 
     masks: list[int] = []
     weights: list[float] = []
@@ -192,7 +185,7 @@ def _sample_coalitions(
         for m, cnt in sorted(counts.items()):
             masks.append(m)
             weights.append(cnt / n_samples * remaining_mass)
-    return np.array(masks, dtype=np.int64), np.array(weights)
+    return _unpack(np.array(masks, dtype=np.int64), p), np.array(weights)
 
 
 def min_coalition_budget(p: int) -> int:
@@ -231,12 +224,10 @@ def kernel_shap(
     last_error: Exception | None = None
     for attempt_seed in (seed, seed + 1):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([attempt_seed])))
-        masks, weights = _sample_coalitions(p, budget, rng)
-        vals = vf.values_for_masks(masks)
+        coalitions, weights = _sample_coalitions(p, budget, rng)
+        vals = vf.values_for_masks(coalitions)
 
-        Z = np.zeros((len(masks), p))
-        for j in range(p):
-            Z[:, j] = (masks >> j) & 1
+        Z = coalitions.astype(float)
         y = vals - base
 
         A = (Z * weights[:, None]).T @ Z
@@ -254,10 +245,7 @@ def kernel_shap(
         if not np.all(np.isfinite(sol)):
             last_error = RuntimeError("non-finite kernel solution")
             continue
-        return Explanation(
-            phi=sol[:p], base_value=base, predicted=fx, method="kernel",
-            coalition_budget=coalition_budget,
-        )
+        return Explanation(phi=sol[:p], base_value=base, predicted=fx, method="kernel")
     raise RuntimeError(f"kernel system singular after re-sampling: {last_error}")
 
 

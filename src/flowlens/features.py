@@ -1,8 +1,9 @@
 """Per-flow feature vectors for the two shipped schemas.
 
-Builders return values keyed by column name; :func:`vector_for` aligns them
-to a schema's column order and fails loudly on any mismatch, so the manifest
-stays the single source of truth for what a feature CSV contains.
+Builders return values keyed by column name, in the schema's column order;
+:func:`vector_for` checks the names and their order and fails loudly on any
+mismatch, so the manifest stays the single source of truth for what a feature
+CSV contains.
 """
 
 from __future__ import annotations
@@ -43,14 +44,18 @@ def _l7_proto(port_a: int, port_b: int) -> int:
 
 
 def vector_for(schema: FeatureSchema, values: dict) -> list:
-    """Align a name->value mapping to the schema's column order."""
-    missing = [c.name for c in schema.columns if c.name not in values]
+    """The values of a name->value mapping, which must hold exactly the
+    schema's columns in the schema's order."""
+    names = schema.column_names
+    if list(values) == names:
+        return list(values.values())
+    missing = [name for name in names if name not in values]
     if missing:
         raise SchemaError(f"feature builder missing columns: {missing}")
-    extra = sorted(set(values) - {c.name for c in schema.columns})
+    extra = sorted(set(values) - set(names))
     if extra:
         raise SchemaError(f"feature builder produced unknown columns: {extra}")
-    return [values[c.name] for c in schema.columns]
+    raise SchemaError("feature builder produced the columns out of schema order")
 
 
 # --- exporter-style counters (netflow_v2_style) -----------------------------

@@ -62,8 +62,7 @@ def read_report_csv(path: str | Path) -> EvaluationReport:
     with open_csv(path) as (header, _, reader):
         if header != _REPORT_HEADER:
             raise SchemaError(f"{path}: report header must be {_REPORT_HEADER}")
-        _, columns = typed_rows(path, header, reader, {3, 4, *range(6, len(header))},
-                                {0, 1, 2, 5}, 0)
+        _, columns = typed_rows(path, header, reader, {0, 1, 2, 5}, 0)
     folds = []
     for r, (fold, *values) in enumerate(zip(*columns[5:]), 1):
         if fold == "mean":
@@ -113,8 +112,7 @@ def read_ranking_csv(path: str | Path) -> tuple[list[str], list[float], list[flo
     with open_csv(path) as (header, _, reader):
         if header != _RANKING_HEADER:
             raise SchemaError(f"{path}: ranking header must be {_RANKING_HEADER}")
-        _, (features, mean_abs, normalized, _) = typed_rows(path, header, reader,
-                                                            {1, 2, 3}, {0}, 0)
+        _, (features, mean_abs, normalized, _) = typed_rows(path, header, reader, {0}, 0)
     return features, mean_abs, normalized
 
 

@@ -327,14 +327,25 @@ def _fill(argv, **paths):
     (["train", "--model", "mlp", "--epochs", "0"], "epochs"),
     (["train", "--model", "rf", "--max-depth", "-1"], "max_depth"),
     (["train", "--model", "rf", "--min-samples-split", "1"], "min_samples_split"),
+    (["synth", "--benign-http", "-3"], "benign_http"),
+    (["synth", "--benign-dns", "-1"], "benign_dns"),
+    (["synth", "--flood-flows", "-2"], "flood_flows"),
+    (["synth", "--dos-flows", "-1"], "dos_flows"),
+    (["extract", "--pcap", "{pcap}", "--schema", "netflow_v2", "--threads", "-3"], "threads"),
+    (["train", "--model", "rf", "--threads", "0"], "threads"),
+    (["eval", "--model", "rf", "--threads", "-1"], "threads"),
+    (["explain", "--model-file", "{model}", "--method", "exact"], "method"),
+    (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
+     "budget"),
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
     conf.write_text("trees=abc\n")
     out = tmp_path / "out"
-    command = _fill(argv, conf=conf, model=pipeline["model"])
-    command += ["--data", str(pipeline["labeled"]["netflow_v2"])]
-    command += ["--out", str(out)] if argv[0] == "train" else ["--out-dir", str(out)]
+    command = _fill(argv, conf=conf, model=pipeline["model"], pcap=pipeline["pcap"])
+    if argv[0] in ("train", "eval", "explain"):
+        command += ["--data", str(pipeline["labeled"]["netflow_v2"])]
+    command += ["--out", str(out)] if argv[0] in ("train", "extract") else ["--out-dir", str(out)]
     capsys.readouterr()
     assert main(command) == 2
     assert f"setting {setting}=" in capsys.readouterr().err
@@ -469,6 +480,12 @@ MALFORMED_TABLES = {
                      ["row 2", "start after end"]),
     "events_category": ("--events", lambda p, t: _replace_cell(p["events"].read_text(), 2, 5, ""),
                         ["row 1", "category"]),
+    "features_timestamp": ("--features", lambda p, t: _replace_cell(
+        p["features"]["netflow_v2"].read_text(), 2, 1, "abc"), ["row 1", "'TIMESTAMP'", "'abc'"]),
+    "features_timestamp_nan": ("--features", lambda p, t: _replace_cell(
+        p["features"]["netflow_v2"].read_text(), 3, 1, "nan"), ["row 2", "'TIMESTAMP'", "'nan'"]),
+    "features_port": ("--features", lambda p, t: _replace_cell(
+        p["features"]["netflow_v2"].read_text(), 2, 3, "x"), ["row 1", "'L4_SRC_PORT'", "'x'"]),
 }
 
 
@@ -481,6 +498,9 @@ def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
     if flag == "--events":
         argv = ["label", "--features", str(pipeline["features"]["netflow_v2"]),
                 "--events", str(bad), "--out", str(out)]
+    elif flag == "--features":
+        argv = ["label", "--features", str(bad), "--events", str(pipeline["events"]),
+                "--out", str(out)]
     else:
         argv = ["report", flag, str(bad), "--out-dir", str(out)]
     capsys.readouterr()

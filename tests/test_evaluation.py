@@ -90,6 +90,35 @@ def test_auc_matches_oracle_with_heavy_ties():
         assert roc_auc(labels, scores) == pytest.approx(pairwise_auc(labels, scores), abs=1e-12)
 
 
+def loop_rank_auc(labels, scores):
+    """Reference: average tie ranks found by walking the sorted scores."""
+    y = np.asarray(labels)
+    s = np.asarray(scores, dtype=float)
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s))
+    sorted_scores = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    n_pos, n_neg = int((y == 1).sum()), int((y == 0).sum())
+    return (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def test_auc_is_bitwise_equal_to_loop_reference_with_heavy_ties():
+    rng = np.random.Generator(np.random.PCG64(6))
+    for _ in range(100):
+        n = int(rng.integers(2, 3000))
+        labels = rng.integers(0, 2, n)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        scores = rng.integers(0, int(rng.integers(1, 12)), n) / 7.0
+        assert roc_auc(labels, scores) == loop_rank_auc(labels, scores)
+
+
 def test_auc_negation_flips_in_tie_free_instances():
     rng = np.random.Generator(np.random.PCG64(4))
     for _ in range(50):

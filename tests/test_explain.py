@@ -1,6 +1,7 @@
 """Attribution engines against an independent permutation-enumeration oracle,
 the classical axioms, closed forms, and the engine-agreement triangle."""
 
+import hashlib
 import itertools
 import math
 
@@ -184,6 +185,45 @@ def test_kernel_deterministic_per_seed():
     a = kernel_shap(vf, 40, seed=9)
     b = kernel_shap(vf, 40, seed=9)
     assert np.array_equal(a.phi, b.phi)
+
+
+# sha256 of phi and the base value (float64 bytes) of each model-agnostic engine
+# on one fixed smooth model over 8 features. Budgets 20 and 60 take the sampled
+# path (2 and 42 sampled coalitions after the size-1 and size-7 rings). A change
+# to these bytes is a change to coalition order, weights or the value function,
+# and must be deliberate.
+GOLDEN_SHAPLEY_SHA256 = {
+    "exact": "635bf3ac2a311589f728d914ab5e01f47aaefd60c489d8264bce5985932284bf",
+    "kernel full": "2a717e5136908b6c1c7be3cd460f812f0b52eaf55438b7e852b9a6194f20272b",
+    "kernel 20 seed 3": "06ca2f2a28a9f9feb72e7fe64f02dbc5032ec64e3c9b3eb9b0cb2f85ddb94909",
+    "kernel 60 seed 11": "0f15f398ab6e315ecf1c13827793c9dd03690c2db067905e5225a441a1496366",
+    "value": "363b2144bb16424b7a1c31ee1216dca2ff3fce16b388e77e8e759950c9dc05a8",
+}
+
+
+def test_shapley_engines_match_golden_digests():
+    p = 8
+    rng = np.random.Generator(np.random.PCG64(17))
+    w = rng.random(p) * 2 - 1
+    x = rng.random(p)
+    B = rng.random((5, p))
+
+    def model(X):
+        z = (X * w).sum(axis=1) + 3 * X[:, 0] * X[:, 1] - X[:, 2] ** 2
+        return 1 / (1 + np.exp(-z))
+
+    vf = CoalitionValueFunction(model, x, B)
+    explanations = {
+        "exact": exact_shapley(vf),
+        "kernel full": kernel_shap(vf, "full"),
+        "kernel 20 seed 3": kernel_shap(vf, 20, seed=3),
+        "kernel 60 seed 11": kernel_shap(vf, 60, seed=11),
+    }
+    digests = {name: hashlib.sha256(e.phi.tobytes() + np.float64(e.base_value).tobytes())
+               .hexdigest() for name, e in explanations.items()}
+    values = np.array([vf.value([]), vf.value([0, 3, 5]), vf.value(range(p))])
+    digests["value"] = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digests == GOLDEN_SHAPLEY_SHA256
 
 
 # --- tree method --------------------------------------------------------------------

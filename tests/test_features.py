@@ -9,9 +9,9 @@ import pytest
 from flowlens import pcap
 from flowlens.dataset import FeatureTable, write_feature_csv
 from flowlens.features import (compute_cic_features, compute_features,
-                               compute_netflow_features)
+                               compute_netflow_features, vector_for)
 from flowlens.flows import assemble_flows
-from flowlens.schema import load_schema
+from flowlens.schema import SchemaError, load_schema
 from flowlens.synth import ScenarioParams, generate_scenario
 from conftest import make_flow, tcp_packet
 
@@ -39,6 +39,18 @@ def test_schema_widths():
     assert set(CIC.identifier_names) == {
         "Flow ID", "Src IP", "Src Port", "Dst IP", "Dst Port", "Timestamp",
     }
+
+
+def test_vector_for_needs_the_schema_columns_in_order():
+    values = {name: j for j, name in enumerate(NF.column_names)}
+    assert vector_for(NF, values) == list(range(NF.width()))
+    reordered = dict(reversed(list(values.items())))
+    with pytest.raises(SchemaError, match="order"):
+        vector_for(NF, reordered)
+    with pytest.raises(SchemaError, match="missing.*'TIMESTAMP'"):
+        vector_for(NF, {k: v for k, v in values.items() if k != "TIMESTAMP"})
+    with pytest.raises(SchemaError, match="unknown.*'extra'"):
+        vector_for(NF, {**values, "extra": 0})
 
 
 def test_single_forward_packet_netflow():
