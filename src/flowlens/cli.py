@@ -366,6 +366,8 @@ def cmd_explain(args) -> int:
     if method is None:
         method = "tree" if isinstance(saved.model, _cli.Forest) else "kernel"
     st.effective["method"] = method
+    if method == "tree" and saved.kind != "rf":
+        raise CliError("setting method=tree: needs a forest model, the model is an MLP")
     p = saved.model.n_features
     limit = explain_mod.EXACT_FEATURE_LIMIT
     if method == "exact" and p > limit:

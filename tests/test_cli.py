@@ -40,8 +40,11 @@ def pipeline(tmp_path_factory):
     assert main(["train", "--data", str(labeled["netflow_v2"]), "--model", "rf",
                  "--out", str(model), "--seed", "11", "--trees", "10",
                  "--max-depth", "6"]) == 0
+    mlp = root / "model_mlp.json"
+    assert main(["train", "--data", str(labeled["netflow_v2"]), "--model", "mlp",
+                 "--out", str(mlp), "--seed", "11", "--epochs", "2"]) == 0
     return {"root": root, "pcap": pcap, "events": events, "features": features,
-            "labeled": labeled, "model": model}
+            "labeled": labeled, "model": model, "mlp": mlp}
 
 
 def test_extract_same_flows_under_both_schemas(pipeline):
@@ -337,12 +340,14 @@ def _fill(argv, **paths):
     (["explain", "--model-file", "{model}", "--method", "exact"], "method"),
     (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
      "budget"),
+    (["explain", "--model-file", "{mlp}", "--method", "tree"], "method"),
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
     conf.write_text("trees=abc\n")
     out = tmp_path / "out"
-    command = _fill(argv, conf=conf, model=pipeline["model"], pcap=pipeline["pcap"])
+    command = _fill(argv, conf=conf, model=pipeline["model"], mlp=pipeline["mlp"],
+                    pcap=pipeline["pcap"])
     if argv[0] in ("train", "eval", "explain"):
         command += ["--data", str(pipeline["labeled"]["netflow_v2"])]
     command += ["--out", str(out)] if argv[0] in ("train", "extract") else ["--out-dir", str(out)]

@@ -1,11 +1,13 @@
 """Forest training and prediction, checked against brute-force split oracles."""
 
-import json
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowlens.forest import Forest, ForestParams, train_forest
+from flowlens.forest import Forest, ForestParams, TreeParams, _TreeBuilder, train_forest
 from flowlens.model_io import save_model
 
 
@@ -66,6 +68,14 @@ def test_single_class_training_rejected():
     X = np.zeros((10, 3))
     with pytest.raises(ValueError):
         train_forest(X, np.ones(10, dtype=int))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_training_data_rejected(bad):
+    # A NaN or infinite threshold sends every row one way and leaves a child empty.
+    X = np.array([[0.0], [bad], [1.0], [bad], [0.5]])
+    with pytest.raises(ValueError, match="non-finite"):
+        train_forest(X, np.array([0, 1, 0, 1, 1]), ForestParams(n_trees=1, seed=1))
 
 
 def _serialize(forest, tmp_path, name):
@@ -173,3 +183,101 @@ def test_width_mismatch_and_nonfinite_rejected():
         forest.predict_proba_one([0.1])
     with pytest.raises(ValueError):
         forest.predict_proba_one([0.1, float("nan")])
+
+
+def _tie_heavy_table():
+    """330 rows of small integer levels: column 2 is constant, the last 90 rows
+    repeat the first 90, and the labels are not a function of the features,
+    so many nodes have tied values or cannot be split at all."""
+    i = np.arange(240)
+    X = np.stack([(i * 7) % 5, (i * 13 + 3) % 4, np.full(240, 2), (i // 7) % 6,
+                  (i * i) % 3, (i * 11) % 9], axis=1).astype(float)
+    y = ((X[:, 0] + X[:, 1] + (i * 17) % 5) % 3 == 0).astype(int)
+    return np.vstack([X, X[:90]]), np.concatenate([y, y[:90]])
+
+
+def _forest_digest(forest):
+    h = hashlib.sha256()
+    for t in forest.trees:
+        for arr in (t.feature, t.threshold, t.left, t.right, t.count, t.prob):
+            h.update(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    return h.hexdigest()
+
+
+DEFAULTS_DIGEST = "fd086a5d7abb5318274106549d8659b8325daf100478139c7134cc1776029690"
+
+
+@pytest.mark.parametrize("params,threads,digest", [
+    (dict(), 1, DEFAULTS_DIGEST),
+    (dict(feature_subsample=1.0), 1,
+     "63ff629eebab3f95d1803968769e4e82d94478dd6568a1216e17bccf5b57d70e"),
+    (dict(bootstrap=False), 1,
+     "356a9279b3e58beabab2abe977ea7baa184f77296ab6907c1f9a2df315d36bc3"),
+    (dict(max_depth=3, min_samples_split=10), 1,
+     "79a98acd309173e4c570168c353dca57be4281589a8a293524efe2a2c34d383c"),
+    (dict(), 2, DEFAULTS_DIGEST),
+], ids=["defaults", "all_features", "no_bootstrap", "shallow", "threads"])
+def test_forest_arrays_match_golden_digests(params, threads, digest):
+    # Pins the six arrays of every tree, so any change to split search, tie
+    # order or the rng stream shows up as a different digest.
+    X, y = _tie_heavy_table()
+    forest = train_forest(X, y, ForestParams(n_trees=12, seed=5, **params), threads=threads)
+    assert _forest_digest(forest) == digest
+
+
+def loop_best_split(builder, idx):
+    """The per-candidate scan that ``_TreeBuilder._best_split`` replaced, kept
+    as the reference it must match bit for bit."""
+    n = len(idx)
+    total1 = builder.y[idx].sum()
+    p = builder.X.shape[1]
+    cand = builder.rng.choice(p, size=min(builder.m, p), replace=False)
+    cand.sort()
+    best = (np.inf, -1, 0.0)
+    for f in cand:
+        vals = builder.X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        if sv[0] == sv[-1]:
+            continue
+        sy = builder.y[idx][order]
+        left1 = np.cumsum(sy)[:-1]
+        left_n = np.arange(1, n)
+        right_n = n - left_n
+        right1 = total1 - left1
+        gl = 1.0 - (left1 / left_n) ** 2 - ((left_n - left1) / left_n) ** 2
+        gr = 1.0 - (right1 / right_n) ** 2 - ((right_n - right1) / right_n) ** 2
+        score = (left_n * gl + right_n * gr) / n
+        score[sv[:-1] == sv[1:]] = np.inf
+        i = int(np.argmin(score))
+        if score[i] < best[0]:
+            best = (float(score[i]), int(f), float((sv[i] + sv[i + 1]) / 2.0))
+    if best[1] < 0:
+        return None
+    return best[1], best[2]
+
+
+@st.composite
+def split_nodes(draw):
+    rows = draw(st.integers(2, 40))
+    cols = draw(st.integers(1, 8))
+    levels = st.sampled_from([-2.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+    X = np.array(draw(st.lists(st.lists(levels, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows)))
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        X[:, j] = X[0, j]  # constant columns
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+    idx = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=rows)))
+    subsample = draw(st.sampled_from(["sqrt", 0.3, 1.0]))
+    return X, y, idx, subsample, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300)
+@given(node=split_nodes())
+def test_split_search_is_bitwise_equal_to_loop_reference(node):
+    X, y, idx, subsample, seed = node
+    params = TreeParams(feature_subsample=subsample)
+    ref = _TreeBuilder(X, y, params, np.random.Generator(np.random.PCG64(seed)))
+    new = _TreeBuilder(X, y, params, np.random.Generator(np.random.PCG64(seed)))
+    assert new._best_split(idx, int(y[idx].sum())) == loop_best_split(ref, idx)
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
