@@ -175,6 +175,8 @@ class Forest:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("input contains non-finite values")
         acc = np.zeros(len(X))
         for tree in self.trees:
             acc += tree.predict_proba(X)

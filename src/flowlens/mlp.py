@@ -51,7 +51,10 @@ class Mlp:
     schema_fingerprint: str | None = None
 
     def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Returns (pre-activations per layer, activations per layer incl. input)."""
+        """Returns (pre-activations per layer, activations per layer incl. input).
+
+        Only ``mlp_gradient`` needs these; inference goes through ``logits``,
+        which keeps none of them."""
         zs, acts = [], [X]
         a = X
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
@@ -62,13 +65,24 @@ class Mlp:
         return zs, acts
 
     def logits(self, X: np.ndarray) -> np.ndarray:
+        """The output unit's pre-activation for each row of ``X``: the same
+        arithmetic as ``_forward``, in one live buffer per layer."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got shape {X.shape}")
-        zs, _ = self._forward(X)
-        return zs[-1][:, 0]
+        a = X
+        last = len(self.weights) - 1
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            a = a @ W
+            a += b
+            if i < last:
+                np.maximum(a, 0.0, out=a)
+        return a[:, 0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if not np.isfinite(X).all():
+            raise ValueError("input contains non-finite values")
         return _sigmoid(self.logits(X))
 
     def predict_proba_one(self, x) -> float:
@@ -78,7 +92,7 @@ class Mlp:
         for v in values:
             if not math.isfinite(v):
                 raise ValueError("input contains non-finite values")
-        return float(self.predict_proba(np.array(values).reshape(1, -1))[0])
+        return float(_sigmoid(self.logits(np.array(values).reshape(1, -1)))[0])
 
     def loss(self, X: np.ndarray, y: np.ndarray) -> float:
         return _bce_from_logits(self.logits(X), np.asarray(y, dtype=float))

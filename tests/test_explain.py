@@ -4,15 +4,17 @@ the classical axioms, closed forms, and the engine-agreement triangle."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import flowlens.explain as explain_mod
 from flowlens.explain import (CoalitionValueFunction, FingerprintMismatch,
-                              _indicator_tables, compile_tree_shap, exact_shapley,
+                              _indicator_tables, _unpack, compile_tree_shap, exact_shapley,
                               explain_samples, global_ranking, kernel_shap, tree_shap)
 from flowlens.forest import DecisionTree, Forest, ForestParams, train_forest
+from flowlens.mlp import MlpParams, init_mlp
 from test_forest import _constant_tree, make_stump
 
 RNG = np.random.Generator(np.random.PCG64(2024))
@@ -185,6 +187,65 @@ def test_kernel_deterministic_per_seed():
     a = kernel_shap(vf, 40, seed=9)
     b = kernel_shap(vf, 40, seed=9)
     assert np.array_equal(a.phi, b.phi)
+
+
+@pytest.mark.parametrize("p", [1, 8, 20])
+def test_unpack_matches_broadcast_expression(p):
+    masks = np.arange(1 << p)
+    assert np.array_equal(_unpack(masks, p), (masks[:, None] >> np.arange(p)) & 1 == 1)
+
+
+def test_value_batches_do_not_change_phi(monkeypatch):
+    rng = np.random.Generator(np.random.PCG64(31))
+    mlp = init_mlp(8, MlpParams(hidden=(7, 5), seed=4))
+    mlp.biases = [rng.random(len(b)) - 0.5 for b in mlp.biases]
+    X = rng.random((80, 8))
+    y = (X[:, 0] + X[:, 1] * X[:, 2] > 0.7).astype(int)
+    forest = train_forest(X, y, ForestParams(n_trees=4, max_depth=5, seed=2))
+    models = {"mlp": mlp, "forest": forest}
+    x, B = rng.random(8), rng.random((5, 8))
+    engines = {"exact": exact_shapley, "kernel full": lambda vf: kernel_shap(vf, "full"),
+               "kernel 60": lambda vf: kernel_shap(vf, 60, seed=3)}
+
+    def explain_all():
+        return {(m, e): run(CoalitionValueFunction(model.predict_proba, x, B))
+                for m, model in models.items() for e, run in engines.items()}
+
+    default = explain_all()
+    calls = []
+    values_for_masks = CoalitionValueFunction.values_for_masks
+
+    def counting(self, masks):
+        calls.append(len(masks))
+        return values_for_masks(self, masks)
+
+    monkeypatch.setattr(CoalitionValueFunction, "values_for_masks", counting)
+    monkeypatch.setattr(explain_mod, "_BLOCK_ELEMENTS", 1)  # one coalition per batch
+    for key, e in explain_all().items():
+        assert np.array_equal(e.phi, default[key].phi), key
+        assert e.base_value == default[key].base_value
+        assert e.predicted == default[key].predicted
+    # one call per explanation, with every coalition the engine evaluates
+    assert len(calls) == len(default)
+    assert calls[:2] == [256, 254]  # exact: all 2^8; kernel full: all but empty and full
+
+
+def test_kernel_shap_memory_is_bounded():
+    rng = np.random.Generator(np.random.PCG64(8))
+    p = 39
+    X = rng.random((300, p))
+    y = (X[:, 0] + X[:, 3] > 1).astype(int)
+    models = {"mlp": init_mlp(p), "forest": train_forest(X, y, ForestParams(n_trees=5, seed=1))}
+    x, B = rng.random(p), rng.random((100, p))
+    for name, model in models.items():
+        vf = CoalitionValueFunction(model.predict_proba, x, B)
+        tracemalloc.start()
+        try:
+            kernel_shap(vf, 2048, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (name, peak)
 
 
 # sha256 of phi and the base value (float64 bytes) of each model-agnostic engine

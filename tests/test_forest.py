@@ -183,6 +183,9 @@ def test_width_mismatch_and_nonfinite_rejected():
         forest.predict_proba_one([0.1])
     with pytest.raises(ValueError):
         forest.predict_proba_one([0.1, float("nan")])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            forest.predict_proba(np.array([[0.1, 0.2], [0.3, bad]]))
 
 
 def _tie_heavy_table():

@@ -3,6 +3,8 @@ realizability on the classic toy sets, and the documented edge behaviours."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlens.mlp import Mlp, MlpParams, init_mlp, mlp_gradient, train_mlp
 
@@ -147,3 +149,33 @@ def test_width_mismatch_rejected():
         mlp.predict_proba_one([0.0, 0.0])
     with pytest.raises(ValueError):
         mlp_gradient(mlp, np.zeros((2, 5)), np.zeros(2))
+
+
+@st.composite
+def nets_and_rows(draw):
+    width = draw(st.integers(1, 12))
+    hidden = tuple(draw(st.lists(st.integers(1, 16), max_size=3)))
+    rows = draw(st.integers(1, 40))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    mlp = init_mlp(width, MlpParams(hidden=hidden, seed=int(rng.integers(1000))))
+    mlp.biases = [rng.normal(size=len(b)) for b in mlp.biases]
+    return mlp, rng.normal(scale=3.0, size=(rows, width))
+
+
+@settings(max_examples=200)
+@given(case=nets_and_rows())
+def test_logits_bitwise_equal_to_training_forward(case):
+    mlp, X = case
+    zs, _ = mlp._forward(X)
+    assert mlp.logits(X).tobytes() == zs[-1][:, 0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_predict_rejects_non_finite_rows(bad):
+    mlp = init_mlp(3, MlpParams(hidden=(4,), seed=0))
+    X = np.array([[0.1, 0.2, 0.3], [0.4, bad, 0.6]])
+    with pytest.raises(ValueError, match="non-finite"):
+        mlp.predict_proba(X)
+    with pytest.raises(ValueError, match="non-finite"):
+        mlp.predict_proba_one(X[1])
+    assert mlp.predict_proba_one(X[0]) == mlp.predict_proba(X[:1])[0]
