@@ -226,11 +226,10 @@ def cmd_extract(args) -> int:
             rows = list(pool.map(build, flows))
     else:
         rows = [build(flow) for flow in flows]
-    table = ds_mod.FeatureTable(schema, rows)
     meta = st.provenance()
     meta["schema"] = schema.name
     meta["schema_version"] = schema.version
-    ds_mod.write_feature_csv(args.out, table, meta=meta)
+    ds_mod.write_feature_csv(args.out, schema, rows, meta=meta)
     skipped = f"{stats.skipped} skipped"
     if stats.skipped:
         skipped += ": " + ", ".join(f"{r}={n}" for r, n in sorted(stats.reasons.items()))
@@ -249,6 +248,18 @@ def cmd_label(args) -> int:
     print(f"labeled {len(labeled.labels)} flows ({stats.attacks} attacks, "
           f"{stats.conflicts} conflicting matches) -> {args.out}")
     return EXIT_OK
+
+
+def _read_labeled(path: str, both_classes: bool) -> ds_mod.LabeledDataset:
+    """The labeled CSV at ``path``. One without rows is an input error, and so
+    is one without both classes where a classifier is fitted or scored."""
+    labeled, _ = ds_mod.read_labeled_csv(_require_file(path, "labeled CSV"))
+    if not labeled.labels:
+        raise CliError(f"{path}: labeled CSV has no rows")
+    if both_classes and len(set(labeled.labels)) < 2:
+        raise CliError(f"{path}: labeled CSV holds one class only; "
+                       "training and evaluation need benign and attack rows")
+    return labeled
 
 
 def _model_spec(st: Settings, seed: int) -> ModelSpec:
@@ -276,7 +287,7 @@ def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
     threads = st.get("threads", 1, _at_least(1))
-    labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
+    labeled = _read_labeled(args.data, both_classes=True)
     spec = _model_spec(st, seed)
 
     X_raw = labeled.X()
@@ -320,7 +331,7 @@ def cmd_eval(args) -> int:
     threads = st.get("threads", 1, _at_least(1))
     timing_rows = st.get("timing_rows", 256, _at_least(1))
     timing_repeats = st.get("timing_repeats", 3, _at_least(1))
-    labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
+    labeled = _read_labeled(args.data, both_classes=True)
     dataset_name = Path(args.data).stem
 
     if args.model_file:
@@ -335,6 +346,9 @@ def cmd_eval(args) -> int:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
         k = st.get("folds", 5, _at_least(2))
+        if k > len(labeled.labels):
+            raise CliError(f"setting folds={k}: must be at most {len(labeled.labels)}, "
+                           f"the rows in {args.data}")
         spec = _model_spec(st, seed)
         report = _cli.crossval_evaluate(
             labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
@@ -356,7 +370,7 @@ def cmd_explain(args) -> int:
     samples = st.get("samples", 500, _at_least(1))
     background_size = st.get("background", 100, _at_least(1))
     budget = st.get("budget", 2048, lambda v: v if v == "full" else int(v))
-    labeled, _ = ds_mod.read_labeled_csv(_require_file(args.data, "labeled CSV"))
+    labeled = _read_labeled(args.data, both_classes=False)
     saved = _load_saved_model(st, args.model_file, labeled)
     fingerprint = labeled.schema.fingerprint()
 

@@ -3,8 +3,9 @@ min-max scaling, stratified k-fold splits, and CSV persistence.
 
 All operations are pure transforms. Every CSV flowlens writes or reads back
 (feature, labeled, ground truth, report, ranking) goes through
-:func:`write_csv` and :func:`open_csv` / :func:`typed_rows`: UTF-8 with LF
-endings, one optional ``#`` provenance line, a header, and typed columns.
+:func:`write_csv` and :func:`open_csv` / :func:`typed_columns`: UTF-8 with
+LF endings, one optional ``#`` provenance line, a header, and typed columns.
+A :class:`FeatureTable` keeps the typed columns as they were read.
 
 Numpy is imported only by the code that builds matrices
 (:meth:`FeatureTable.learnable_matrix`, ``LabeledDataset.X``/``y``,
@@ -48,26 +49,31 @@ _FLOW_VIEW = {
 
 @dataclass
 class FeatureTable:
-    """Feature vectors aligned to a schema, one row per flow."""
+    """Feature values aligned to a schema: one typed list per schema column,
+    one entry per flow."""
 
     schema: FeatureSchema
-    rows: list[list]
+    columns: list[list]
 
     def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if len(row) != self.schema.width():
-                raise SchemaError(
-                    f"row {i} has width {len(row)}, schema expects {self.schema.width()}"
-                )
+        if len(self.columns) != self.schema.width():
+            raise SchemaError(
+                f"table has {len(self.columns)} columns, schema expects {self.schema.width()}"
+            )
+        if len({len(column) for column in self.columns}) > 1:
+            raise SchemaError("table columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
     def learnable_matrix(self) -> np.ndarray:
         import numpy as np
 
         idx = self.schema.learnable_indices
-        rows = self.rows
-        if len(idx) != self.schema.width():
-            rows = [[row[j] for j in idx] for row in rows]
-        return np.array(rows, dtype=float).reshape(len(self.rows), len(idx))
+        matrix = np.empty((len(self), len(idx)))
+        for k, j in enumerate(idx):
+            matrix[:, k] = self.columns[j]
+        return matrix
 
 
 @dataclass
@@ -79,7 +85,7 @@ class LabeledDataset:
     categories: list[str]
 
     def __post_init__(self):
-        n = len(self.table.rows)
+        n = len(self.table)
         if len(self.labels) != n or len(self.categories) != n:
             raise ValueError("labels/categories length mismatch")
         for lab, cat in zip(self.labels, self.categories):
@@ -195,23 +201,15 @@ def label_table(
     view = _FLOW_VIEW.get(table.schema.name)
     if view is None:
         raise SchemaError(f"schema {table.schema.name!r} has no flow view for labeling")
-    src_c, dst_c, proto_c, ts_c, dur_c, dur_us = (
-        table.schema.index_of(view[0]),
-        table.schema.index_of(view[1]),
-        table.schema.index_of(view[2]),
-        table.schema.index_of(view[3]),
-        table.schema.index_of(view[4]),
-        view[5],
-    )
+    columns = [table.columns[table.schema.index_of(name)] for name in view[:5]]
+    dur_us = view[5]
     labels, categories = [], []
-    for row in table.rows:
-        first = int(row[ts_c])
+    for src, dst, proto, ts, dur in zip(*columns):
+        first = int(ts)
         # Durations are whole units rounded down: end at the last unit's end,
         # so the rebuilt interval holds the true one (exact for 1 us units).
-        last = first + int(row[dur_c]) * dur_us + dur_us - 1
-        cat = _first_match(
-            events, str(row[src_c]), str(row[dst_c]), int(row[proto_c]), first, last, stats
-        )
+        last = first + int(dur) * dur_us + dur_us - 1
+        cat = _first_match(events, str(src), str(dst), int(proto), first, last, stats)
         categories.append(cat)
         labels.append(0 if cat == BENIGN else 1)
     return LabeledDataset(table, labels, categories)
@@ -221,10 +219,9 @@ def label_table(
 
 def drop_identifiers(ds: LabeledDataset) -> LabeledDataset:
     """Remove identifier columns; survivor order is preserved exactly."""
-    idx = ds.schema.learnable_indices
-    schema = ds.schema.learnable_only()
-    rows = [[row[j] for j in idx] for row in ds.table.rows]
-    return LabeledDataset(FeatureTable(schema, rows), list(ds.labels), list(ds.categories))
+    columns = [list(ds.table.columns[j]) for j in ds.schema.learnable_indices]
+    return LabeledDataset(FeatureTable(ds.schema.learnable_only(), columns),
+                          list(ds.labels), list(ds.categories))
 
 
 @dataclass
@@ -286,16 +283,13 @@ def kfold_split(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     classes, counts = np.unique(y, return_counts=True)
-    test_folds: list[list[int]] = [[] for _ in range(k)]
     if counts.min() >= k and len(classes) > 1:
-        for cls in classes:
-            idx = np.flatnonzero(y == cls)
-            rng.shuffle(idx)
-            for i, chunk in enumerate(np.array_split(idx, k)):
-                test_folds[i].extend(chunk.tolist())
+        groups = [np.flatnonzero(y == c) for c in classes]
     else:
         warnings.warn("too few rows of a class for stratification; using plain folds")
-        idx = np.arange(n)
+        groups = [np.arange(n)]
+    test_folds: list[list[int]] = [[] for _ in range(k)]
+    for idx in groups:
         rng.shuffle(idx)
         for i, chunk in enumerate(np.array_split(idx, k)):
             test_folds[i].extend(chunk.tolist())
@@ -311,14 +305,15 @@ def kfold_split(
 
 # --- CSV persistence ---------------------------------------------------------
 
-def write_feature_csv(path: str | Path, table: FeatureTable, meta: dict | None = None):
-    write_csv(path, table.schema.column_names, table.rows, meta)
+def write_feature_csv(path: str | Path, schema: FeatureSchema, rows: Iterable[list],
+                      meta: dict | None = None):
+    """Feature rows, one per flow, each aligned to ``schema``."""
+    write_csv(path, schema.column_names, rows, meta)
 
 
 def write_labeled_csv(path: str | Path, ds: LabeledDataset, meta: dict | None = None):
     header = ds.schema.column_names + [LABEL_COLUMN, CATEGORY_COLUMN]
-    rows = (row + [lab, cat] for row, lab, cat in zip(ds.table.rows, ds.labels, ds.categories))
-    write_csv(path, header, rows, meta)
+    write_csv(path, header, zip(*ds.table.columns, ds.labels, ds.categories), meta)
 
 
 # Rows formatted per writerows call: the cell strings of one block are alive
@@ -435,35 +430,24 @@ def _text_columns(schema: FeatureSchema) -> set[int]:
     return {j for j, c in enumerate(schema.columns) if c.unit == "text"}
 
 
-def typed_rows(
+def typed_columns(
     path: str | Path,
     header: list[str],
     reader: Iterator[list[str]],
     text: set[int],
-    width: int,
-) -> tuple[list[list], list[list]]:
-    """Rows of the first ``width`` columns, and the cells of each column after
-    them, typed a column at a time in chunks of rows: ``text`` columns stay
-    strings, and every other column must hold finite numbers. With ``width``
-    0 every column comes back as a list of cells. A ragged row is a
-    :class:`SchemaError` naming the file and row, a bad number one naming its
-    row and column."""
-    rows: list[list] = []
-    tail: list[list] = [[] for _ in header[width:]]
+) -> list[list]:
+    """The cells of each column, typed a column at a time in chunks of rows:
+    ``text`` columns stay strings, and every other column must hold finite
+    numbers. A ragged row is a :class:`SchemaError` naming the file and row,
+    a bad number one naming its row and column."""
+    columns: list[list] = [[] for _ in header]
     done = 0  # rows read before this chunk
     while chunk := list(islice(reader, _CHUNK_ROWS)):
         check_widths(path, header, chunk, done)
-        columns = []
-        for j, cells in enumerate(zip(*chunk)):
-            if j in text:
-                columns.append(cells)
-            else:
-                columns.append(_number_column(path, header[j], cells, done))
-        rows += map(list, zip(*columns[:width]))
-        for cells, typed in zip(tail, columns[width:]):
-            cells += typed
+        for j, (column, cells) in enumerate(zip(columns, zip(*chunk))):
+            column += cells if j in text else _number_column(path, header[j], cells, done)
         done += len(chunk)
-    return rows, tail
+    return columns
 
 
 def _schema_for_header(header: list[str]) -> tuple[FeatureSchema, bool]:
@@ -485,8 +469,8 @@ def read_feature_csv(path: str | Path) -> tuple[FeatureTable, dict]:
         schema, labeled = _schema_for_header(header)
         if labeled:
             raise SchemaError(f"{path}: labeled CSV passed where features expected")
-        rows, _ = typed_rows(path, header, reader, _text_columns(schema), schema.width())
-    return FeatureTable(schema, rows), meta
+        columns = typed_columns(path, header, reader, _text_columns(schema))
+    return FeatureTable(schema, columns), meta
 
 
 def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
@@ -494,14 +478,14 @@ def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
         schema, labeled = _schema_for_header(header)
         if not labeled:
             raise SchemaError(f"{path}: CSV has no {LABEL_COLUMN}/{CATEGORY_COLUMN} columns")
-        width = schema.width()  # the label and category columns follow
-        rows, (labels, categories) = typed_rows(
-            path, header, reader, _text_columns(schema) | {width + 1}, width)
+        # The label and category columns follow the schema's.
+        *columns, labels, categories = typed_columns(
+            path, header, reader, _text_columns(schema) | {schema.width() + 1})
     bad = next((r for r, v in enumerate(labels, 1) if v not in (0, 1)), None)
     if bad is not None:
         raise SchemaError(f"{path}: row {bad}, column {LABEL_COLUMN!r}: label must be 0 or 1")
     try:
-        return LabeledDataset(FeatureTable(schema, rows), labels, categories), meta
+        return LabeledDataset(FeatureTable(schema, columns), labels, categories), meta
     except ValueError as exc:  # a label that disagrees with its category
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -517,7 +501,7 @@ def read_events_csv(path: str | Path) -> list[GroundTruthEvent]:
     with open_csv(path) as (header, _, reader):
         if header != _EVENT_HEADER:
             raise SchemaError(f"{path}: ground truth header must be {_EVENT_HEADER}")
-        _, columns = typed_rows(path, header, reader, {0, 1, 2, 5}, 0)
+        columns = typed_columns(path, header, reader, {0, 1, 2, 5})
     events = []
     for r, (src, dst, proto, start, end, cat) in enumerate(zip(*columns), 1):
         try:

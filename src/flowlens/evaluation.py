@@ -138,17 +138,6 @@ class FoldMetrics:
     auc: float
     prediction_time_micros: float
 
-    def as_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "dr": self.dr,
-            "far": self.far,
-            "auc": self.auc,
-            "prediction_time_micros": self.prediction_time_micros,
-        }
-
 
 @dataclass
 class EvaluationReport:

@@ -177,20 +177,21 @@ def _sample_coalitions(
     sampling for the remaining budget."""
     full = (1 << p) - 1
     n_avail = budget - 2  # empty and full coalitions are handled as constraints
+    # The kernel weight of a coalition by its size; sizes 0 and p never occur.
+    size_weight = np.array([0.0] + [_kernel_weight(p, s) for s in range(1, p)])
     if n_avail >= (1 << p) - 2:
         coalitions = _unpack(np.arange(1, full), p)
-        weights = np.array([_kernel_weight(p, int(s)) for s in coalitions.sum(axis=1)])
-        return coalitions, weights
+        return coalitions, size_weight[coalitions.sum(axis=1)]
 
     masks: list[int] = []
     weights: list[float] = []
     singles = [1 << j for j in range(p)]
     pairs_complement = [full ^ (1 << j) for j in range(p)]
-    for ring in (singles, pairs_complement):
+    for ring, size in ((singles, 1), (pairs_complement, p - 1)):
         for m in ring:
             if len(masks) < n_avail:
                 masks.append(m)
-                weights.append(_kernel_weight(p, int(bin(m).count("1"))))
+                weights.append(size_weight[size])
 
     n_samples = n_avail - len(masks)
     inner_sizes = list(range(2, p - 1))
@@ -255,8 +256,9 @@ def kernel_shap(
         Z = coalitions.astype(float)
         y = vals - base
 
-        A = (Z * weights[:, None]).T @ Z
-        b = (Z * weights[:, None]).T @ y
+        Zw = Z * weights[:, None]
+        A = Zw.T @ Z
+        b = Zw.T @ y
         K = np.zeros((p + 1, p + 1))
         K[:p, :p] = A
         K[:p, p] = 1.0

@@ -4,9 +4,10 @@ rankings, explanation dumps, and the SVG charts built from them."""
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from .dataset import open_csv, typed_rows, write_csv
+from .dataset import open_csv, typed_columns, write_csv
 from .evaluation import METRIC_NAMES, EvaluationReport, FoldMetrics
 from .explain import Explanation, GlobalRanking
 from .schema import SchemaError
@@ -62,7 +63,7 @@ def read_report_csv(path: str | Path) -> EvaluationReport:
     with open_csv(path) as (header, _, reader):
         if header != _REPORT_HEADER:
             raise SchemaError(f"{path}: report header must be {_REPORT_HEADER}")
-        _, columns = typed_rows(path, header, reader, {0, 1, 2, 5}, 0)
+        columns = typed_columns(path, header, reader, {0, 1, 2, 5})
     folds = []
     for r, (fold, *values) in enumerate(zip(*columns[5:]), 1):
         if fold == "mean":
@@ -91,7 +92,7 @@ def write_report_jsonl(path: str | Path, report: EvaluationReport, meta: dict | 
             head["meta"] = meta
         fh.write(json.dumps(head, sort_keys=True) + "\n")
         for fm in report.folds:
-            fh.write(json.dumps(fm.as_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(fm), sort_keys=True) + "\n")
 
 
 # --- rankings and explanation dumps --------------------------------------------
@@ -112,7 +113,7 @@ def read_ranking_csv(path: str | Path) -> tuple[list[str], list[float], list[flo
     with open_csv(path) as (header, _, reader):
         if header != _RANKING_HEADER:
             raise SchemaError(f"{path}: ranking header must be {_RANKING_HEADER}")
-        _, (features, mean_abs, normalized, _) = typed_rows(path, header, reader, {0}, 0)
+        features, mean_abs, normalized, _ = typed_columns(path, header, reader, {0})
     return features, mean_abs, normalized
 
 

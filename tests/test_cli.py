@@ -50,7 +50,7 @@ def pipeline(tmp_path_factory):
 def test_extract_same_flows_under_both_schemas(pipeline):
     nf, _ = read_feature_csv(pipeline["features"]["netflow_v2"])
     cic, _ = read_feature_csv(pipeline["features"]["cic"])
-    assert len(nf.rows) == len(cic.rows) > 0
+    assert len(nf) == len(cic) > 0
     assert nf.schema.column_names != cic.schema.column_names
 
 
@@ -193,7 +193,7 @@ def test_config_file_supplies_defaults(pipeline, tmp_path):
     # same effective settings -> same rows (provenance hashes include config)
     nf1, _ = read_feature_csv(out)
     nf2, _ = read_feature_csv(direct)
-    assert nf1.rows == nf2.rows
+    assert nf1.columns == nf2.columns
 
 
 def test_seed_env_var_used_as_default(pipeline, tmp_path, monkeypatch):
@@ -272,6 +272,11 @@ GOLDEN_SHA256 = {
     "features_cic.csv": "3b73a29e9feb15dad23f77fb91dbff45c3406086ae7286bd6dc9f848016e0343",
     "labeled_cic.csv": "d8ceca12c26f6e4846b74d590bf50c2f816fb8d03f4b5791bc169517d3dc028c",
 }
+# sha256 of the learnable float64 matrix X() read back from each labeled CSV.
+GOLDEN_X_SHA256 = {
+    "netflow_v2": "08c67fc4cf66be8c3639b373c3155e6ac3439dd65b9f4dd50faf90b62f3f669b",
+    "cic": "9f16ee777844294c446feaf86d53caf30364f81763ddf6041fd997a4889117c7",
+}
 
 
 def test_default_scenario_ingest_artifacts_match_golden_digests(tmp_path):
@@ -286,6 +291,10 @@ def test_default_scenario_ingest_artifacts_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+    matrices = {schema: hashlib.sha256(read_labeled_csv(tmp_path / f"labeled_{schema}.csv")[0]
+                                       .X().tobytes()).hexdigest()
+                for schema in GOLDEN_X_SHA256}
+    assert matrices == GOLDEN_X_SHA256
 
 
 def test_extract_prints_skip_reasons(tmp_path, capsys):
@@ -341,6 +350,7 @@ def _fill(argv, **paths):
     (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
      "budget"),
     (["explain", "--model-file", "{mlp}", "--method", "tree"], "method"),
+    (["eval", "--model", "rf", "--folds", "1000"], "folds"),
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
@@ -468,9 +478,29 @@ def _replace_cell(text, line, column, value):
     return "".join(lines)
 
 
-# Each case: (flag, make the file's text, words the error must hold).
-# Line 0 of every file is the provenance line, line 1 the header.
+def _labeled_lines(pipeline, keep):
+    """The netflow_v2 labeled table with only the data rows ``keep`` accepts."""
+    lines = pipeline["labeled"]["netflow_v2"].read_text().splitlines(keepends=True)
+    return "".join(lines[:2] + [line for line in lines[2:] if keep(line)])
+
+
+# The model stages, each reading the malformed table through --data.
+DATA_STAGES = {
+    "train": ["train", "--model", "rf", "--trees", "2", "--out", "{out}"],
+    "eval": ["eval", "--model", "rf", "--trees", "2", "--out-dir", "{out}"],
+    "eval_saved": ["eval", "--model-file", "{model}", "--out-dir", "{out}"],
+    "explain": ["explain", "--model-file", "{model}", "--out-dir", "{out}"],
+}
+
+# Each case: (flag or model stage, make the file's text, words the error must
+# hold). Line 0 of every file is the provenance line, line 1 the header.
 MALFORMED_TABLES = {
+    **{f"labeled_empty_{stage}": (stage, lambda p, t: _labeled_lines(p, lambda line: False),
+                                  ["no rows"])
+       for stage in DATA_STAGES},
+    **{f"labeled_one_class_{stage}": (stage, lambda p, t: _labeled_lines(
+        p, lambda line: line.rstrip("\n").endswith(",0,Benign")), ["one class"])
+       for stage in ("train", "eval", "eval_saved")},
     "report_header": ("--reports", lambda p, t: _report_csv(p, t).replace("fold", "folds", 1),
                       ["header"]),
     "ranking_empty": ("--rankings", lambda p, t: "", ["empty CSV"]),
@@ -506,6 +536,8 @@ def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
     elif flag == "--features":
         argv = ["label", "--features", str(bad), "--events", str(pipeline["events"]),
                 "--out", str(out)]
+    elif flag in DATA_STAGES:
+        argv = _fill(DATA_STAGES[flag], model=pipeline["model"], out=out) + ["--data", str(bad)]
     else:
         argv = ["report", flag, str(bad), "--out-dir", str(out)]
     capsys.readouterr()

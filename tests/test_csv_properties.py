@@ -36,14 +36,13 @@ def tables(draw):
     columns = [draw(st.lists(TEXT if c.unit == "text" else draw(NUMBER_COLUMNS),
                              min_size=n, max_size=n))
                for c in schema.columns]
-    return FeatureTable(schema, [list(row) for row in zip(*columns)] if n else [])
+    return FeatureTable(schema, columns)
 
 
 @st.composite
 def labeled(draw):
     table = draw(tables())
-    labels = draw(st.lists(st.integers(0, 1), min_size=len(table.rows),
-                           max_size=len(table.rows)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(table), max_size=len(table)))
     categories = [draw(TEXT.filter(lambda c: c != BENIGN)) if lab else BENIGN
                   for lab in labels]
     return LabeledDataset(table, labels, categories)
@@ -66,9 +65,9 @@ def _same_bits(a, b):
 def test_feature_csv_round_trip(tmp_path_factory, table):
     tmp = tmp_path_factory.mktemp("features")
     first, second = tmp / "first.csv", tmp / "second.csv"
-    write_feature_csv(first, table, meta={"seed": 3})
+    write_feature_csv(first, table.schema, zip(*table.columns), meta={"seed": 3})
     back, meta = read_feature_csv(first)
-    write_feature_csv(second, back, meta=meta)
+    write_feature_csv(second, back.schema, zip(*back.columns), meta=meta)
     assert second.read_bytes() == first.read_bytes()
     assert _same_bits(back.learnable_matrix(), _written_learnable(first, table.schema))
 

@@ -20,6 +20,12 @@ CIC = load_schema("cic")
 NF = load_schema("netflow_v2")
 
 
+def _feature_table(schema, flows):
+    """The features of ``flows`` as a table: one list per schema column."""
+    rows = [compute_features(f, schema) for f in flows]
+    return FeatureTable(schema, [[row[j] for row in rows] for j in range(schema.width())])
+
+
 def _flow(src, dst, start_s, end_s, proto=17):
     pkts = [udp_packet(int(start_s * 1e6), src, 1111, dst, 2222),
             udp_packet(int(end_s * 1e6), src, 1111, dst, 2222)]
@@ -80,8 +86,7 @@ def test_label_table_matches_label_flows():
     events = [GroundTruthEvent(None, "10.0.0.9", None, 0, 5_000_000, "Dos")]
     expected_labels, expected_cats = label_flows(flows, events)
     for schema in (NF, CIC):
-        table = FeatureTable(schema, [compute_features(f, schema) for f in flows])
-        ds = label_table(table, events)
+        ds = label_table(_feature_table(schema, flows), events)
         assert ds.labels == expected_labels
         assert ds.categories == expected_cats
 
@@ -116,8 +121,7 @@ def test_label_table_on_written_table_agrees_with_label_flows(tmp_path_factory, 
     tmp = tmp_path_factory.mktemp("label")
     for schema in (CIC, NF):
         path = tmp / f"{schema.name}.csv"
-        write_feature_csv(path, FeatureTable(schema, [compute_features(f, schema)
-                                                      for f in flows]))
+        write_feature_csv(path, schema, [compute_features(f, schema) for f in flows])
         table, _ = read_feature_csv(path)
         ds = label_table(table, events)
         if schema is CIC:  # microsecond duration: the exact interval
@@ -126,8 +130,20 @@ def test_label_table_on_written_table_agrees_with_label_flows(tmp_path_factory, 
             assert all(got >= want for got, want in zip(ds.labels, labels))
 
 
+def test_feature_table_checks_its_columns():
+    schema = CIC.learnable_only()
+    with pytest.raises(SchemaError, match="table has 76 columns, schema expects 77"):
+        FeatureTable(schema, [[0.0] for _ in range(76)])
+    columns = [[0.0] for _ in range(77)]
+    columns[5] = [0.0, 1.0]
+    with pytest.raises(SchemaError, match="columns differ in length"):
+        FeatureTable(schema, columns)
+    assert len(FeatureTable(schema, [[0.0, 1.0] for _ in range(77)])) == 2
+    assert len(FeatureTable(schema, [[] for _ in range(77)])) == 0
+
+
 def test_label_category_consistency_enforced():
-    table = FeatureTable(CIC.learnable_only(), [[0.0] * 77])
+    table = FeatureTable(CIC.learnable_only(), [[0.0] for _ in range(77)])
     with pytest.raises(ValueError):
         LabeledDataset(table, [1], [BENIGN])
     with pytest.raises(ValueError):
@@ -139,9 +155,8 @@ def _tiny_labeled(schema=CIC):
             udp_packet(2_000_000, "10.0.0.1", 5, "10.0.0.9", 6, payload=20),
             udp_packet(9_000_000, "10.0.0.3", 7, "10.0.0.4", 8, payload=30)]
     flows = assemble_flows(pkts)
-    table = FeatureTable(schema, [compute_features(f, schema) for f in flows])
     events = [GroundTruthEvent(None, "10.0.0.9", None, 0, 5_000_000, "Dos")]
-    return label_table(table, events)
+    return label_table(_feature_table(schema, flows), events)
 
 
 def test_drop_identifiers_width_and_order():
@@ -152,14 +167,14 @@ def test_drop_identifiers_width_and_order():
                                        if c not in CIC.identifier_names]
     # survivors keep their values
     j_src = CIC.index_of("Protocol")
-    assert out.table.rows[0][out.schema.index_of("Protocol")] == ds.table.rows[0][j_src]
+    assert out.table.columns[out.schema.index_of("Protocol")] == ds.table.columns[j_src]
 
 
 def test_drop_identifiers_no_identifiers_is_identity():
     ds = drop_identifiers(_tiny_labeled())
     again = drop_identifiers(ds)
     assert again.schema.column_names == ds.schema.column_names
-    assert again.table.rows == ds.table.rows
+    assert again.table.columns == ds.table.columns
 
 
 def test_minmax_basic_and_conventions():

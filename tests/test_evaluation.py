@@ -183,9 +183,8 @@ def _toy_dataset(n=60, seed=0):
     ))
     X = rng.random((n, 3)) * 10
     labels = (X[:, 0] >= 5.0).astype(int)
-    rows = [list(map(float, row)) for row in X]
     cats = ["Benign" if l == 0 else "Dos" for l in labels]
-    return LabeledDataset(FeatureTable(schema, rows), labels.tolist(), cats)
+    return LabeledDataset(FeatureTable(schema, X.T.tolist()), labels.tolist(), cats)
 
 
 def test_crossval_separable_is_perfect():

@@ -1,13 +1,11 @@
 """Feature vectors: worked examples computed by hand, plus the ordering,
 conservation, determinism, and direction-symmetry invariants."""
 
-import io
-
 import numpy as np
 import pytest
 
 from flowlens import pcap
-from flowlens.dataset import FeatureTable, write_feature_csv
+from flowlens.dataset import write_feature_csv
 from flowlens.features import (compute_cic_features, compute_features,
                                compute_netflow_features, vector_for)
 from flowlens.flows import assemble_flows
@@ -214,23 +212,18 @@ def test_conservation_of_bytes_over_scenario():
     assert total_in_out == sum(p.ip_total_len for p in packets)
 
 
-def _extract_csv_bytes(packets, schema) -> bytes:
+def _extract_csv_bytes(packets, schema, path) -> bytes:
     flows = assemble_flows(packets)
-    rows = [compute_features(f, schema) for f in flows]
-    buf = io.StringIO()
-    table = FeatureTable(schema, rows)
-    import tempfile, pathlib
-    with tempfile.TemporaryDirectory() as td:
-        path = pathlib.Path(td) / "out.csv"
-        write_feature_csv(path, table)
-        return path.read_bytes()
+    write_feature_csv(path, schema, [compute_features(f, schema) for f in flows])
+    return path.read_bytes()
 
 
-def test_extraction_is_deterministic():
+def test_extraction_is_deterministic(tmp_path):
     packets, _ = generate_scenario(ScenarioParams(benign_http=10, benign_dns=5,
                                                   flood_flows=10, dos_flows=3, seed=9))
     for schema in (NF, CIC):
-        assert _extract_csv_bytes(packets, schema) == _extract_csv_bytes(packets, schema)
+        assert (_extract_csv_bytes(packets, schema, tmp_path / "first.csv")
+                == _extract_csv_bytes(packets, schema, tmp_path / "second.csv"))
 
 
 SWAP_PAIRS_NF = [
