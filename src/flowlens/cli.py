@@ -4,9 +4,10 @@ Every artifact embeds the effective configuration hash and seed, and every
 stage is deterministic for a fixed configuration, so reruns are byte-identical,
 except eval reports, which embed the measured prediction time.
 
-Exit codes: 0 ok, 2 input error, 3 consistency error (column fingerprint
-mismatches), 1 internal error. Seed precedence: --seed flag, then the config
-file, then the FLOWLENS_SEED environment variable, then the default.
+Exit codes: 0 ok, 2 input error, 3 consistency error (a model file trained
+on other feature columns than the data's), 1 internal error. Seed precedence:
+--seed flag, then the config file, then the FLOWLENS_SEED environment
+variable, then the default.
 
 Each subcommand imports only the modules it uses: extract and label run
 without importing numpy.
@@ -292,11 +293,10 @@ def cmd_train(args) -> int:
 
     X_raw = labeled.X()
     scaler = ds_mod.MinMaxScaler.fit(X_raw)
-    fingerprint = labeled.schema.fingerprint()
-    model = spec.train(scaler.transform(X_raw), labeled.y(), threads=threads,
-                       fingerprint=fingerprint)
+    model = spec.train(scaler.transform(X_raw), labeled.y(), threads=threads)
     _cli.save_model(args.out, model, scaler=scaler,
-               feature_names=labeled.schema.learnable_names, meta=st.provenance())
+                    feature_names=labeled.schema.learnable_names, meta=st.provenance(),
+                    schema_fingerprint=labeled.schema.fingerprint())
     print(f"trained {spec.kind} on {len(X_raw)} rows -> {args.out}")
     return EXIT_OK
 
@@ -318,7 +318,7 @@ def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledDataset):
     model_file = _require_file(path, "model file")
     st.effective["model_file"] = hashlib.sha256(model_file.read_bytes()).hexdigest()
     saved = _cli.load_model(model_file)
-    if saved.model.schema_fingerprint != labeled.schema.fingerprint():
+    if saved.schema_fingerprint != labeled.schema.fingerprint():
         raise FingerprintMismatch("model and dataset were built from different feature columns")
     if saved.scaler is None:
         raise CliError("model file carries no scaler; cannot normalize inputs")
@@ -346,9 +346,11 @@ def cmd_eval(args) -> int:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
         k = st.get("folds", 5, _at_least(2))
-        if k > len(labeled.labels):
-            raise CliError(f"setting folds={k}: must be at most {len(labeled.labels)}, "
-                           f"the rows in {args.data}")
+        attacks = sum(labeled.labels)
+        rare = min(attacks, len(labeled.labels) - attacks)
+        if k > rare:
+            raise CliError(f"setting folds={k}: must be at most {rare}, "
+                           f"the rows of the rarer class in {args.data}")
         spec = _model_spec(st, seed)
         report = _cli.crossval_evaluate(
             labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
@@ -372,7 +374,6 @@ def cmd_explain(args) -> int:
     budget = st.get("budget", 2048, lambda v: v if v == "full" else int(v))
     labeled = _read_labeled(args.data, both_classes=False)
     saved = _load_saved_model(st, args.model_file, labeled)
-    fingerprint = labeled.schema.fingerprint()
 
     explain_mod, np = _cli.explain_mod, _cli.np
 
@@ -404,7 +405,7 @@ def cmd_explain(args) -> int:
 
     explanations = explain_mod.explain_samples(
         saved.model, explain_rows, background, method=method,
-        coalition_budget=budget, seed=seed, fingerprint=fingerprint,
+        coalition_budget=budget, seed=seed,
     )
     ranking = explain_mod.global_ranking(explanations, labeled.schema.learnable_names)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -269,8 +268,8 @@ def kfold_split(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stratified k-fold index pairs, deterministic for a fixed seed.
 
-    Falls back to unstratified folds (with a warning) when some class has
-    fewer than k rows.
+    Every class needs at least k rows: with fewer, some test fold would hold
+    none of that class, and its AUC would be undefined.
     """
     import numpy as np
 
@@ -283,11 +282,11 @@ def kfold_split(
     rng = np.random.Generator(np.random.PCG64(seed))
 
     classes, counts = np.unique(y, return_counts=True)
-    if counts.min() >= k and len(classes) > 1:
-        groups = [np.flatnonzero(y == c) for c in classes]
-    else:
-        warnings.warn("too few rows of a class for stratification; using plain folds")
-        groups = [np.arange(n)]
+    if counts.min() < k:
+        rare = int(counts.argmin())
+        raise ValueError(f"class {classes[rare]} has {counts[rare]} rows, "
+                         f"fewer than k={k} folds")
+    groups = [np.flatnonzero(y == c) for c in classes]
     test_folds: list[list[int]] = [[] for _ in range(k)]
     for idx in groups:
         rng.shuffle(idx)

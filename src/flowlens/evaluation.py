@@ -115,13 +115,11 @@ class ModelSpec:
     forest_params: ForestParams = field(default_factory=ForestParams)
     mlp_params: MlpParams = field(default_factory=MlpParams)
 
-    def train(self, X: np.ndarray, y: np.ndarray, threads: int = 1,
-              fingerprint: str | None = None) -> Forest | Mlp:
+    def train(self, X: np.ndarray, y: np.ndarray, threads: int = 1) -> Forest | Mlp:
         if self.kind == "rf":
-            return train_forest(X, y, self.forest_params, threads=threads,
-                                schema_fingerprint=fingerprint)
+            return train_forest(X, y, self.forest_params, threads=threads)
         if self.kind == "mlp":
-            return train_mlp(X, y, self.mlp_params, schema_fingerprint=fingerprint)
+            return train_mlp(X, y, self.mlp_params)
         raise ValueError(f"unknown model kind {self.kind!r}")
 
 
@@ -203,13 +201,11 @@ def crossval_evaluate(
     """
     X = ds.X()
     y = ds.y()
-    fingerprint = ds.schema.fingerprint()
     folds = []
     for fold, (train_idx, test_idx) in enumerate(_dataset.kfold_split(y, k=k, seed=seed)):
         scaler = MinMaxScaler.fit(X[train_idx])
         try:
-            model = spec.train(scaler.transform(X[train_idx]), y[train_idx],
-                               threads=threads, fingerprint=fingerprint)
+            model = spec.train(scaler.transform(X[train_idx]), y[train_idx], threads=threads)
         except Exception as exc:
             raise RuntimeError(f"training failed on fold {fold}: {exc}") from exc
         folds.append(

@@ -36,7 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forest import Forest
-from .schema import FingerprintMismatch
 
 EXACT_FEATURE_LIMIT = 20
 
@@ -247,33 +246,26 @@ def kernel_shap(
     fx = vf.full_value()
     delta = fx - base
 
-    last_error: Exception | None = None
-    for attempt_seed in (seed, seed + 1):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([attempt_seed])))
-        coalitions, weights = _sample_coalitions(p, budget, rng)
-        vals = vf.values_for_masks(coalitions)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    coalitions, weights = _sample_coalitions(p, budget, rng)
+    vals = vf.values_for_masks(coalitions)
 
-        Z = coalitions.astype(float)
-        y = vals - base
+    Z = coalitions.astype(float)
+    y = vals - base
 
-        Zw = Z * weights[:, None]
-        A = Zw.T @ Z
-        b = Zw.T @ y
-        K = np.zeros((p + 1, p + 1))
-        K[:p, :p] = A
-        K[:p, p] = 1.0
-        K[p, :p] = 1.0
-        rhs = np.concatenate([b, [delta]])
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError as exc:
-            last_error = exc
-            continue
-        if not np.all(np.isfinite(sol)):
-            last_error = RuntimeError("non-finite kernel solution")
-            continue
-        return Explanation(phi=sol[:p], base_value=base, predicted=fx, method="kernel")
-    raise RuntimeError(f"kernel system singular after re-sampling: {last_error}")
+    Zw = Z * weights[:, None]
+    # K is never singular: every budget holds all p singletons at weight 1/p,
+    # so Zw.T @ Z >= I/p, and at p = 1 K is [[0, 1], [1, 0]]. A non-finite
+    # solution can only come from non-finite model values.
+    K = np.zeros((p + 1, p + 1))
+    K[:p, :p] = Zw.T @ Z
+    K[:p, p] = 1.0
+    K[p, :p] = 1.0
+    rhs = np.concatenate([Zw.T @ y, [delta]])
+    sol = np.linalg.solve(K, rhs)
+    if not np.all(np.isfinite(sol)):
+        raise ValueError("kernel SHAP: model returned non-finite values")
+    return Explanation(phi=sol[:p], base_value=base, predicted=fx, method="kernel")
 
 
 # --- tree method -------------------------------------------------------------
@@ -426,7 +418,6 @@ def tree_shap(
     forest: Forest,
     x: np.ndarray,
     background: np.ndarray,
-    fingerprint: str | None = None,
     *,
     plan: TreeShapPlan | None = None,
 ) -> Explanation:
@@ -443,11 +434,6 @@ def tree_shap(
     explaining many rows against one background, so the forest is compiled
     and the background evaluated once. Without it, this call builds its own.
     """
-    if fingerprint is not None and forest.schema_fingerprint is not None:
-        if fingerprint != forest.schema_fingerprint:
-            raise FingerprintMismatch(
-                "forest was trained against a different feature column set"
-            )
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != forest.n_features:
         raise ValueError("feature width mismatch between forest and x")
@@ -511,25 +497,17 @@ def explain_samples(
     method: str,
     coalition_budget: int | str = 2048,
     seed: int = 0,
-    fingerprint: str | None = None,
 ) -> list[Explanation]:
     """Explain each row of ``X_explain`` with the chosen engine. The tree
     engine compiles the forest against the background once for all rows."""
     if method not in ("tree", "kernel", "exact"):
         raise ValueError(f"unknown explanation method {method!r}")
-    if fingerprint is not None:
-        model_fp = getattr(model, "schema_fingerprint", None)
-        if model_fp is not None and model_fp != fingerprint:
-            raise FingerprintMismatch(
-                "model was trained against a different feature column set"
-            )
     X_explain = np.asarray(X_explain, dtype=float)
     if method == "tree":
         if not isinstance(model, Forest):
             raise ValueError("tree method requires a forest model")
         plan = compile_tree_shap(model, background)
-        return [tree_shap(model, x, background, fingerprint=fingerprint, plan=plan)
-                for x in X_explain]
+        return [tree_shap(model, x, background, plan=plan) for x in X_explain]
     out = []
     for i, x in enumerate(X_explain):
         vf = CoalitionValueFunction(model.predict_proba, x, background)

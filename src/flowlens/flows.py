@@ -3,8 +3,8 @@
 A flow groups packets sharing a canonicalized 5-tuple. Endpoint A is the
 source of the flow's first packet; a packet is forward iff its source equals
 endpoint A. Assembly is a sequential state machine over a time-ordered packet
-stream; emitted flows are re-ordered by first timestamp so output is
-deterministic regardless of expiry order.
+stream; flows are returned in the order they open, which is the order of
+their first timestamps, whatever order they expire in.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ def _undirected(pkt: PacketRecord) -> tuple:
 @dataclass
 class _FlowState:
     record: FlowRecord
-    seq: int
     fin_fwd: bool = False
     fin_bwd: bool = False
     closed: bool = False
@@ -110,7 +109,7 @@ def assemble_flows(
     ordered = sorted(packets, key=lambda p: p.ts_micros)
 
     table: dict[tuple, _FlowState] = {}
-    done: list[_FlowState] = []
+    flows: list[FlowRecord] = []  # in opening order, so by first timestamp
 
     for pkt in ordered:
         lk = _undirected(pkt)
@@ -125,19 +124,15 @@ def assemble_flows(
                 reason = ACTIVE_TIMEOUT
             if reason is not None:
                 state.record.expiry_reason = reason
-                done.append(state)
-                del table[lk]
                 state = None
         if state is None:
             key = FlowKey(pkt.src_ip, pkt.src_port, pkt.dst_ip, pkt.dst_port, pkt.protocol)
             record = FlowRecord(key=key, first_ts=pkt.ts_micros, last_ts=pkt.ts_micros)
-            state = _FlowState(record=record, seq=len(done) + len(table))
+            state = _FlowState(record=record)
             table[lk] = state
+            flows.append(record)
         state.add(pkt)
 
     for state in table.values():
         state.record.expiry_reason = FIN_RST if state.closed else END_OF_CAPTURE
-        done.append(state)
-
-    done.sort(key=lambda st: (st.record.first_ts, st.seq))
-    return [st.record for st in done]
+    return flows

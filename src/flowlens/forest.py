@@ -168,7 +168,6 @@ class Forest:
     trees: list[DecisionTree]
     params: ForestParams
     n_features: int
-    schema_fingerprint: str | None = None
     _fast: list | None = field(default=None, repr=False, compare=False)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -218,7 +217,6 @@ def train_forest(
     y: np.ndarray,
     params: ForestParams | None = None,
     threads: int = 1,
-    schema_fingerprint: str | None = None,
 ) -> Forest:
     """Fit a forest; deterministic for a fixed seed, serial or threaded."""
     if params is None:
@@ -240,5 +238,4 @@ def train_forest(
             trees = list(pool.map(lambda i: _grow_tree(X, y, params, i), indices))
     else:
         trees = [_grow_tree(X, y, params, i) for i in indices]
-    return Forest(trees=trees, params=params, n_features=X.shape[1],
-                  schema_fingerprint=schema_fingerprint)
+    return Forest(trees=trees, params=params, n_features=X.shape[1])

@@ -48,7 +48,6 @@ class Mlp:
     params: MlpParams
     n_features: int
     loss_history: list[float] = field(default_factory=list)
-    schema_fingerprint: str | None = None
 
     def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Returns (pre-activations per layer, activations per layer incl. input).
@@ -98,8 +97,7 @@ class Mlp:
         return _bce_from_logits(self.logits(X), np.asarray(y, dtype=float))
 
 
-def init_mlp(n_features: int, params: MlpParams | None = None,
-             schema_fingerprint: str | None = None) -> Mlp:
+def init_mlp(n_features: int, params: MlpParams | None = None) -> Mlp:
     """Seeded uniform init in +-sqrt(6/(fan_in+fan_out)); zero biases."""
     if params is None:
         params = MlpParams()
@@ -110,8 +108,7 @@ def init_mlp(n_features: int, params: MlpParams | None = None,
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return Mlp(weights=weights, biases=biases, params=params, n_features=n_features,
-               schema_fingerprint=schema_fingerprint)
+    return Mlp(weights=weights, biases=biases, params=params, n_features=n_features)
 
 
 def mlp_gradient(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -137,7 +134,6 @@ def train_mlp(
     X: np.ndarray,
     y: np.ndarray,
     params: MlpParams | None = None,
-    schema_fingerprint: str | None = None,
 ) -> Mlp:
     """Mini-batch gradient descent on cross-entropy; deterministic per seed.
 
@@ -152,7 +148,7 @@ def train_mlp(
     if len(np.unique(y)) < 2:
         raise ValueError("training data has a single class; cannot fit a discriminator")
 
-    mlp = init_mlp(X.shape[1], params, schema_fingerprint)
+    mlp = init_mlp(X.shape[1], params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([params.seed, 1])))
     n = len(X)
     for epoch in range(params.epochs):

@@ -1,9 +1,10 @@
 """Versioned JSON serialization for trained models.
 
 A model file carries the full structure (trees or weight matrices), the
-training hyperparameters, the min-max scaler fitted alongside it, and the
-schema fingerprint, so evaluation and explanation can run on saved models
-without the original dataset object.
+training hyperparameters, the min-max scaler fitted alongside it, and a hash
+of the feature columns it was trained on, so evaluation and explanation can
+run on saved models without the original dataset object, and refuse data
+built from other columns.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class SavedModel:
     scaler: MinMaxScaler | None
     feature_names: list[str] | None
     meta: dict
+    schema_fingerprint: str | None = None  # compared with the data's by the CLI
 
     @property
     def kind(self) -> str:
@@ -69,11 +71,12 @@ def save_model(
     scaler: MinMaxScaler | None = None,
     feature_names: list[str] | None = None,
     meta: dict | None = None,
+    schema_fingerprint: str | None = None,
 ):
     doc: dict = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "schema_fingerprint": model.schema_fingerprint,
+        "schema_fingerprint": schema_fingerprint,
         "feature_names": feature_names,
         "meta": meta or {},
     }
@@ -105,6 +108,13 @@ def _require(doc: dict, keys, where: str):
         raise ModelFormatError(f"{where} lacks {', '.join(map(repr, missing))}")
 
 
+def _require_finite(where: str, **arrays: np.ndarray):
+    # json reads NaN and Infinity, and a model holding one still answers, wrongly.
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ModelFormatError(f"{where}: {name} holds a non-finite number")
+
+
 def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     """A tree whose arrays agree in length, whose split features exist and
     whose children follow their parent, so every walk from the root ends."""
@@ -121,6 +131,7 @@ def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     n = len(tree.feature)
     if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
         raise ModelFormatError(f"{where}: node arrays must be non-empty and of equal length")
+    _require_finite(where, threshold=tree.threshold, prob=tree.prob)
     split = np.flatnonzero(tree.feature >= 0)
     if (tree.feature[split] >= n_features).any():
         raise ModelFormatError(f"{where}: split feature not below n_features={n_features}")
@@ -131,7 +142,7 @@ def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     return tree
 
 
-def _load_forest(payload: dict, fingerprint: str | None) -> Forest:
+def _load_forest(payload: dict) -> Forest:
     _require(payload, ("n_features", "params", "trees"), "forest")
     n_features = payload["n_features"]
     if not isinstance(n_features, int) or n_features < 1:
@@ -140,10 +151,10 @@ def _load_forest(payload: dict, fingerprint: str | None) -> Forest:
         raise ModelFormatError("forest has no trees")
     trees = [_load_tree(t, n_features, f"tree {i}") for i, t in enumerate(payload["trees"])]
     return Forest(trees=trees, params=ForestParams(**payload["params"]),
-                  n_features=n_features, schema_fingerprint=fingerprint)
+                  n_features=n_features)
 
 
-def _load_mlp(payload: dict, fingerprint: str | None) -> Mlp:
+def _load_mlp(payload: dict) -> Mlp:
     """An MLP whose layer shapes chain from n_features to one output."""
     _require(payload, ("n_features", "params", "weights", "biases", "loss_history"), "mlp")
     weights = [np.array(w, dtype=float) for w in payload["weights"]]
@@ -155,14 +166,14 @@ def _load_mlp(payload: dict, fingerprint: str | None) -> Mlp:
         if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
             raise ModelFormatError(f"mlp layer {i} does not chain: weights {w.shape}, "
                                    f"bias {b.shape}, input width {width}")
+        _require_finite(f"mlp layer {i}", weights=w, biases=b)
         width = w.shape[1]
     if width != 1:
         raise ModelFormatError(f"mlp output width is {width}, expected 1")
     raw = dict(payload["params"])
     raw["hidden"] = tuple(raw["hidden"])
     return Mlp(weights=weights, biases=biases, params=MlpParams(**raw),
-               n_features=payload["n_features"], loss_history=list(payload["loss_history"]),
-               schema_fingerprint=fingerprint)
+               n_features=payload["n_features"], loss_history=list(payload["loss_history"]))
 
 
 def load_model(path: str | Path) -> SavedModel:
@@ -177,14 +188,13 @@ def load_model(path: str | Path) -> SavedModel:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {doc.get('version')}")
-    fingerprint = doc.get("schema_fingerprint")
     loaders = {"rf": ("forest", _load_forest), "mlp": ("mlp", _load_mlp)}
     if doc.get("kind") not in loaders:
         raise ModelFormatError(f"{path}: unknown model kind {doc.get('kind')!r}")
     key, load = loaders[doc["kind"]]
     try:
         _require(doc, (key,), "model file")
-        model = load(doc[key], fingerprint)
+        model = load(doc[key])
         scaler = None
         if doc.get("scaler") is not None:
             _require(doc["scaler"], ("mins", "maxs"), "scaler")
@@ -194,11 +204,10 @@ def load_model(path: str | Path) -> SavedModel:
             )
             if scaler.mins.shape != (model.n_features,) or scaler.maxs.shape != (model.n_features,):
                 raise ModelFormatError(f"scaler width differs from n_features={model.n_features}")
+            _require_finite("scaler", mins=scaler.mins, maxs=scaler.maxs)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     except (TypeError, ValueError) as exc:  # wrong value types, ragged arrays
         raise ModelFormatError(f"{path}: malformed model: {exc}") from exc
-    return SavedModel(
-        model=model, scaler=scaler, feature_names=doc.get("feature_names"),
-        meta=doc.get("meta", {}),
-    )
+    return SavedModel(model, scaler, doc.get("feature_names"), doc.get("meta", {}),
+                      doc.get("schema_fingerprint"))

@@ -351,14 +351,21 @@ def _fill(argv, **paths):
      "budget"),
     (["explain", "--model-file", "{mlp}", "--method", "tree"], "method"),
     (["eval", "--model", "rf", "--folds", "1000"], "folds"),
+    (["eval", "--model", "rf", "--folds", "2", "--data", "{rare}"], "folds"),
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
     conf.write_text("trees=abc\n")
+    # the netflow table with its benign rows and one attack row
+    lines = pipeline["labeled"]["netflow_v2"].read_text().splitlines(keepends=True)
+    attack = next(line for line in lines[2:] if line.split(",")[-2] == "1")
+    rare = tmp_path / "rare.csv"
+    rare.write_text("".join([*lines[:2], *(line for line in lines[2:]
+                                            if line.split(",")[-2] == "0"), attack]))
     out = tmp_path / "out"
     command = _fill(argv, conf=conf, model=pipeline["model"], mlp=pipeline["mlp"],
-                    pcap=pipeline["pcap"])
-    if argv[0] in ("train", "eval", "explain"):
+                    pcap=pipeline["pcap"], rare=rare)
+    if argv[0] in ("train", "eval", "explain") and "--data" not in argv:
         command += ["--data", str(pipeline["labeled"]["netflow_v2"])]
     command += ["--out", str(out)] if argv[0] in ("train", "extract") else ["--out-dir", str(out)]
     capsys.readouterr()

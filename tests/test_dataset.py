@@ -238,11 +238,12 @@ def test_kfold_deterministic():
         assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
 
 
-def test_kfold_falls_back_without_enough_minority_rows():
-    labels = [0] * 9 + [1]
-    with pytest.warns(UserWarning):
-        splits = kfold_split(labels, k=5, seed=0)
-    covered = sorted(i for _, test in splits for i in test.tolist())
+def test_kfold_rejects_class_with_fewer_rows_than_folds():
+    # with one attack row, four of five test folds would hold no attack
+    with pytest.raises(ValueError, match="class 1 has 1 rows, fewer than k=5"):
+        kfold_split([0] * 9 + [1], k=5, seed=0)
+    # a single class keeps plain folds over all rows
+    covered = sorted(i for _, test in kfold_split([0] * 10, k=5, seed=0) for i in test)
     assert covered == list(range(10))
 
 

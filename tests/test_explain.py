@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import flowlens.explain as explain_mod
-from flowlens.explain import (CoalitionValueFunction, FingerprintMismatch,
-                              _indicator_tables, _unpack, compile_tree_shap, exact_shapley,
-                              explain_samples, global_ranking, kernel_shap, tree_shap)
+from flowlens.explain import (CoalitionValueFunction, _indicator_tables, _unpack,
+                              compile_tree_shap, exact_shapley, explain_samples,
+                              global_ranking, kernel_shap, tree_shap)
 from flowlens.forest import DecisionTree, Forest, ForestParams, train_forest
 from flowlens.mlp import MlpParams, init_mlp
 from test_forest import _constant_tree, make_stump
@@ -179,6 +179,21 @@ def test_kernel_budget_below_minimum_rejected():
     vf = CoalitionValueFunction(linear_model(np.ones(p)), np.ones(p), np.zeros((1, p)))
     with pytest.raises(ValueError, match="budget"):
         kernel_shap(vf, p + 1)
+
+
+def test_kernel_non_finite_model_values_rejected():
+    # NaN only where feature 0 is present: the base value stays finite and
+    # the one solve carries the NaN into phi.
+    p = 4
+
+    def model(X):
+        out = X.sum(axis=1)
+        out[X[:, 0] > 0.5] = np.nan
+        return out
+
+    vf = CoalitionValueFunction(model, np.ones(p), np.zeros((2, p)))
+    with pytest.raises(ValueError, match="model returned non-finite values"):
+        kernel_shap(vf, 10, seed=0)
 
 
 def test_kernel_deterministic_per_seed():
@@ -377,15 +392,10 @@ def test_additive_stump_forest_closed_form():
     assert np.max(np.abs(kernel.phi - expected)) <= 1e-6
 
 
-def test_tree_width_and_fingerprint_checks():
+def test_tree_width_check():
     forest, x, B = random_forest_instance(RNG, p=4)
     with pytest.raises(ValueError):
         tree_shap(forest, x[:3], B)
-    forest.schema_fingerprint = "abc"
-    with pytest.raises(FingerprintMismatch):
-        tree_shap(forest, x, B, fingerprint="def")
-    # matching fingerprints pass
-    tree_shap(forest, x, B, fingerprint="abc")
 
 
 def test_repeated_feature_along_path():

@@ -26,15 +26,14 @@ def _data(seed=0, n=50, p=4):
 
 def test_forest_round_trip(tmp_path):
     X, y = _data()
-    forest = train_forest(X, y, ForestParams(n_trees=6, max_depth=4, seed=3),
-                          schema_fingerprint="fp")
+    forest = train_forest(X, y, ForestParams(n_trees=6, max_depth=4, seed=3))
     scaler = MinMaxScaler.fit(X)
     path = tmp_path / "f.json"
     save_model(path, forest, scaler=scaler, feature_names=["a", "b", "c", "d"],
-               meta={"config_hash": "x", "seed": 3})
+               meta={"config_hash": "x", "seed": 3}, schema_fingerprint="fp")
     saved = load_model(path)
     assert saved.kind == "rf"
-    assert saved.model.schema_fingerprint == "fp"
+    assert saved.schema_fingerprint == "fp"
     assert saved.feature_names == ["a", "b", "c", "d"]
     assert np.allclose(saved.model.predict_proba(X), forest.predict_proba(X))
     assert np.allclose(saved.scaler.mins, scaler.mins)
@@ -43,12 +42,12 @@ def test_forest_round_trip(tmp_path):
 
 def test_mlp_round_trip(tmp_path):
     X, y = _data(seed=1)
-    mlp = train_mlp(X, y, MlpParams(hidden=(5, 3), epochs=10, seed=2),
-                    schema_fingerprint="fp2")
+    mlp = train_mlp(X, y, MlpParams(hidden=(5, 3), epochs=10, seed=2))
     path = tmp_path / "m.json"
-    save_model(path, mlp)
+    save_model(path, mlp, schema_fingerprint="fp2")
     saved = load_model(path)
     assert saved.kind == "mlp"
+    assert saved.schema_fingerprint == "fp2"
     assert np.allclose(saved.model.predict_proba(X), mlp.predict_proba(X))
     assert saved.model.params == mlp.params
     assert saved.model.loss_history == mlp.loss_history
@@ -121,9 +120,23 @@ def _unknown_kind(doc):
     doc["kind"] = "svm"
 
 
+def _nan_leaf_prob(doc):
+    leaf = _tree(doc)["feature"].index(-1)
+    _tree(doc)["prob"][leaf] = float("nan")
+
+
+def _infinite_threshold(doc):
+    _tree(doc)["threshold"][_first_split(doc)] = float("inf")
+
+
+def _nan_scaler_max(doc):
+    doc["scaler"]["maxs"][0] = float("nan")
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_prob, _short_threshold, _child_to_root, _child_out_of_range,
     _feature_too_wide, _drop_trees, _scaler_too_narrow, _unknown_kind,
+    _nan_leaf_prob, _infinite_threshold, _nan_scaler_max,
 ])
 def test_malformed_forest_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "rf")
@@ -159,9 +172,17 @@ def _two_outputs(doc):
     doc["mlp"]["biases"][-1].append(0.0)
 
 
+def _nan_weight(doc):
+    doc["mlp"]["weights"][0][0][0] = float("nan")
+
+
+def _infinite_bias(doc):
+    doc["mlp"]["biases"][-1][0] = float("-inf")
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_biases, _weights_do_not_chain, _bias_too_short, _ragged_weights,
-    _first_layer_too_wide, _two_outputs,
+    _first_layer_too_wide, _two_outputs, _nan_weight, _infinite_bias,
 ])
 def test_malformed_mlp_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "mlp")
@@ -210,13 +231,13 @@ MLP_PARAMS = st.builds(
 def test_save_load_save_is_byte_identical(tmp_path_factory, params, data_seed):
     X, y = _data(seed=data_seed, n=30, p=3)
     train = train_forest if isinstance(params, ForestParams) else train_mlp
-    model = train(X, y, params, schema_fingerprint="fp")
+    model = train(X, y, params)
     tmp = tmp_path_factory.mktemp("model")
     first, second = tmp / "first.json", tmp / "second.json"
     save_model(first, model, scaler=MinMaxScaler.fit(X), feature_names=["a", "b", "c"],
-               meta={"config_hash": "x", "seed": data_seed})
+               meta={"config_hash": "x", "seed": data_seed}, schema_fingerprint="fp")
     saved = load_model(first)
     assert saved.model.params == params
     save_model(second, saved.model, scaler=saved.scaler, feature_names=saved.feature_names,
-               meta=saved.meta)
+               meta=saved.meta, schema_fingerprint=saved.schema_fingerprint)
     assert second.read_bytes() == first.read_bytes()
