@@ -251,13 +251,14 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def _read_labeled(path: str, both_classes: bool) -> ds_mod.LabeledDataset:
+def _read_labeled(path: str, both_classes: bool) -> ds_mod.LabeledMatrix:
     """The labeled CSV at ``path``. One without rows is an input error, and so
     is one without both classes where a classifier is fitted or scored."""
-    labeled, _ = ds_mod.read_labeled_csv(_require_file(path, "labeled CSV"))
-    if not labeled.labels:
+    labeled, _ = ds_mod.read_labeled_matrix(_require_file(path, "labeled CSV"))
+    y = labeled.y()
+    if not len(y):
         raise CliError(f"{path}: labeled CSV has no rows")
-    if both_classes and len(set(labeled.labels)) < 2:
+    if both_classes and y.min() == y.max():
         raise CliError(f"{path}: labeled CSV holds one class only; "
                        "training and evaluation need benign and attack rows")
     return labeled
@@ -311,7 +312,7 @@ def _write_report_files(out_dir: Path, stem: str, report, provenance: dict):
     Path(f"{base}_report.txt").write_text(table, encoding="utf-8")
 
 
-def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledDataset):
+def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledMatrix):
     """Load the model file at ``path`` for the ``labeled`` rows; refuse one
     built from other feature columns or saved without its scaler. Provenance
     records the sha256 of the file's bytes, not its path."""
@@ -346,8 +347,9 @@ def cmd_eval(args) -> int:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
         k = st.get("folds", 5, _at_least(2))
-        attacks = sum(labeled.labels)
-        rare = min(attacks, len(labeled.labels) - attacks)
+        y = labeled.y()
+        attacks = int(y.sum())
+        rare = min(attacks, len(y) - attacks)
         if k > rare:
             raise CliError(f"setting folds={k}: must be at most {rare}, "
                            f"the rows of the rarer class in {args.data}")
@@ -583,4 +585,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run as a script (``python -m flowlens.cli``, or under ``cProfile -m``),
+    # this file is not the module ``flowlens.cli``, whose attributes ``_cli``
+    # reads; call main of the imported one.
+    from flowlens.cli import main as cli_main
+
+    sys.exit(cli_main())

@@ -6,11 +6,14 @@ All operations are pure transforms. Every CSV flowlens writes or reads back
 :func:`write_csv` and :func:`open_csv` / :func:`typed_columns`: UTF-8 with
 LF endings, one optional ``#`` provenance line, a header, and typed columns.
 A :class:`FeatureTable` keeps the typed columns as they were read.
+:func:`read_labeled_matrix` reads the same labeled files for model stages,
+parsing their numbers with ``np.loadtxt`` where that decides as the typed
+reader does.
 
 Numpy is imported only by the code that builds matrices
 (:meth:`FeatureTable.learnable_matrix`, ``LabeledDataset.X``/``y``,
-:class:`MinMaxScaler`, :func:`kfold_split`), so reading, labeling and
-writing tables runs without it.
+:func:`read_labeled_matrix`, :class:`MinMaxScaler`, :func:`kfold_split`), so
+reading, labeling and writing tables runs without it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .flows import FlowRecord
 from .schema import CIC, NETFLOW_V2, FeatureSchema, SchemaError, load_schema
@@ -102,6 +105,23 @@ class LabeledDataset:
         import numpy as np
 
         return np.array(self.labels, dtype=int)
+
+
+@dataclass
+class LabeledMatrix:
+    """What fitting, scoring and explaining a model read of a labeled table:
+    the learnable columns as one float64 matrix and the 0/1 labels. ``X()``
+    and ``y()`` equal those of the :class:`LabeledDataset` of the same rows."""
+
+    schema: FeatureSchema
+    matrix: np.ndarray
+    labels: np.ndarray
+
+    def X(self) -> np.ndarray:
+        return self.matrix
+
+    def y(self) -> np.ndarray:
+        return self.labels
 
 
 # --- ground truth -----------------------------------------------------------
@@ -350,9 +370,9 @@ def _cr_quoted_line(cells: list[str]) -> str:
 
 
 @contextmanager
-def open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list[str]]]]:
-    """The header, the fields of the provenance line, and a reader of the
-    remaining rows as lists of cell strings."""
+def _open_body(path: str | Path) -> Iterator[tuple[list[str], dict, TextIO]]:
+    """The header, the fields of the provenance line, and the file, positioned
+    at the first row."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline()
         meta: dict = {}
@@ -362,6 +382,14 @@ def open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list[
         if not first:
             raise SchemaError(f"{path}: empty CSV")
         header = next(csv.reader([first.rstrip("\n")]))
+        yield header, meta, fh
+
+
+@contextmanager
+def open_csv(path: str | Path) -> Iterator[tuple[list[str], dict, Iterator[list[str]]]]:
+    """The header, the fields of the provenance line, and a reader of the
+    remaining rows as lists of cell strings."""
+    with _open_body(path) as (header, meta, fh):
         yield header, meta, csv.reader(fh)
 
 
@@ -487,6 +515,69 @@ def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
         return LabeledDataset(FeatureTable(schema, columns), labels, categories), meta
     except ValueError as exc:  # a label that disagrees with its category
         raise SchemaError(f"{path}: {exc}") from exc
+
+
+def read_labeled_matrix(path: str | Path) -> tuple[LabeledMatrix, dict]:
+    """The labeled CSV at ``path`` as a model reads it, and its provenance:
+    what :func:`read_labeled_csv` then ``X()`` and ``y()`` give, and the same
+    errors.
+
+    The numbers are parsed by ``np.loadtxt``'s C reader, which reads a subset
+    of the cells :func:`typed_columns` reads, to the same values. Where it
+    could decide otherwise, the file goes to :func:`read_labeled_csv`, which
+    raises its error or returns its result: a body that is empty or holds a
+    quote or a carriage return (the csv module splits those otherwise), and
+    any row or cell that fails a check.
+    """
+    with _open_body(path) as (header, meta, fh):
+        schema, labeled = _schema_for_header(header)
+        try:
+            body = fh.read() if labeled else ""
+        except UnicodeDecodeError:
+            body = ""
+    matrix = _loadtxt_matrix(schema, body) if body else None
+    if matrix is None:
+        ds, meta = read_labeled_csv(path)
+        matrix = LabeledMatrix(ds.schema, ds.X(), ds.y())
+    return matrix, meta
+
+
+def _loadtxt_matrix(schema: FeatureSchema, body: str) -> LabeledMatrix | None:
+    """The rows of ``body`` through ``np.loadtxt``, or None wherever
+    :func:`read_labeled_csv` could decide otherwise."""
+    import numpy as np
+
+    if '"' in body or "\r" in body:
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # Unquoted, a csv row is its line split on ","; no cell of a line within
+    # the csv module's field limit can exceed it. The label and category
+    # columns follow the schema's.
+    commas = schema.width() + 1
+    if (any(line.count(",") != commas for line in lines)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    learnable = schema.learnable_indices
+    skip = _text_columns(schema).union(learnable)
+    others = [j for j in range(schema.width()) if j not in skip]
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            usecols=[*learnable, *others, schema.width()])
+    except ValueError:  # a cell that is not a number to numpy
+        return None
+    # From 2**53 on, the typed reader keeps integers exact and the sign of a
+    # float zero; the test also fails on NaN and infinities.
+    if not (np.abs(values) < _FLOAT_EXACT).all():
+        return None
+    labels = values[:, -1]
+    attack = np.array([line[line.rfind(",") + 1:] != BENIGN for line in lines])
+    if not (labels == attack).all():  # a label not 0 or 1, or not its category's
+        return None
+    matrix = values[:, :len(learnable)].copy()
+    matrix[matrix == 0] = 0.0  # below 2**53 the typed reader holds zero as int 0, never -0.0
+    return LabeledMatrix(schema, matrix, labels.astype(int))
 
 
 _EVENT_HEADER = ["src_ip", "dst_ip", "protocol", "start_ts", "end_ts", "category"]

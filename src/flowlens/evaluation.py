@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import LabeledDataset, MinMaxScaler
+from .dataset import LabeledDataset, LabeledMatrix, MinMaxScaler
 from .forest import Forest, ForestParams, train_forest
 from .mlp import Mlp, MlpParams, train_mlp
 from . import dataset as _dataset
@@ -185,7 +185,7 @@ def evaluate_split(
 
 
 def crossval_evaluate(
-    ds: LabeledDataset,
+    ds: LabeledDataset | LabeledMatrix,
     spec: ModelSpec,
     k: int = 5,
     seed: int = 0,

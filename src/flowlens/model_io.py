@@ -132,6 +132,8 @@ def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
         raise ModelFormatError(f"{where}: node arrays must be non-empty and of equal length")
     _require_finite(where, threshold=tree.threshold, prob=tree.prob)
+    if ((tree.prob < 0.0) | (tree.prob > 1.0)).any():
+        raise ModelFormatError(f"{where}: prob holds a number outside [0, 1]")
     split = np.flatnonzero(tree.feature >= 0)
     if (tree.feature[split] >= n_features).any():
         raise ModelFormatError(f"{where}: split feature not below n_features={n_features}")
@@ -189,9 +191,10 @@ def load_model(path: str | Path) -> SavedModel:
     if doc.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {doc.get('version')}")
     loaders = {"rf": ("forest", _load_forest), "mlp": ("mlp", _load_mlp)}
-    if doc.get("kind") not in loaders:
-        raise ModelFormatError(f"{path}: unknown model kind {doc.get('kind')!r}")
-    key, load = loaders[doc["kind"]]
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in loaders:
+        raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
+    key, load = loaders[kind]
     try:
         _require(doc, (key,), "model file")
         model = load(doc[key])
@@ -207,7 +210,7 @@ def load_model(path: str | Path) -> SavedModel:
             _require_finite("scaler", mins=scaler.mins, maxs=scaler.maxs)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # wrong value types, ragged arrays
+    except (TypeError, ValueError, OverflowError) as exc:  # wrong types, ragged, past int64
         raise ModelFormatError(f"{path}: malformed model: {exc}") from exc
     return SavedModel(model, scaler, doc.get("feature_names"), doc.get("meta", {}),
                       doc.get("schema_fingerprint"))

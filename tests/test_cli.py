@@ -1,15 +1,22 @@
 """Command-line surface: subcommand wiring, exit codes, artifact determinism,
 and the help/docs consistency check."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowlens.cli import build_parser, main
-from flowlens.dataset import read_feature_csv, read_labeled_csv
+from flowlens.dataset import read_feature_csv, read_labeled_csv, read_labeled_matrix
+from flowlens.schema import SchemaError
 from flowlens.util import parse_meta_line
 from conftest import (pcap_global_header, pcap_record, raw_ethernet, raw_ipv4,
                       raw_udp)
@@ -241,22 +248,44 @@ def test_every_cli_flag_appears_in_help():
                     assert opt in text
 
 
-@pytest.mark.parametrize("cell", ["abc", "nan", "inf"])
-def test_bad_learnable_cell_exits_2_naming_it(pipeline, tmp_path, capsys, cell):
+# (id, column, cell, exit code). "1_000" is a number to Python but not to
+# numpy, " 3" to both; the quoted category, its label set to 1, holds the
+# delimiter.
+LEARNABLE_CELLS = [
+    ("abc", "IN_BYTES", "abc", 2),
+    ("nan", "IN_BYTES", "nan", 2),
+    ("inf", "IN_BYTES", "inf", 2),
+    ("underscore", "IN_BYTES", "1_000", 0),
+    ("space", "IN_BYTES", " 3", 0),
+    ("quoted_category", "Attack", '"DoS, slow"', 0),
+]
+
+
+@pytest.mark.parametrize("stage, column, cell, code", [
+    pytest.param(stage, column, cell, code, id=name if stage == "train" else f"{stage}-{name}")
+    for stage in ("train", "eval", "explain") for name, column, cell, code in LEARNABLE_CELLS
+])
+def test_bad_learnable_cell_exits_2_naming_it(pipeline, tmp_path, capsys, stage, column, cell,
+                                              code):
+    """The model stages share one reader: a cell it refuses exits 2 naming
+    its row, column and text, and a cell it accepts exits 0."""
     lines = pipeline["labeled"]["netflow_v2"].read_text().splitlines(keepends=True)
-    column = "IN_BYTES"
-    j = lines[1].rstrip("\n").split(",").index(column)
+    header = lines[1].rstrip("\n").split(",")
     cells = lines[4].rstrip("\n").split(",")  # provenance, header, then data row 3
-    cells[j] = cell
+    cells[header.index(column)] = cell
+    if column == "Attack":
+        cells[header.index("Label")] = "1"
     lines[4] = ",".join(cells) + "\n"
     bad = tmp_path / "bad_cell.csv"
     bad.write_text("".join(lines))
+    out = tmp_path / "out"
     capsys.readouterr()
-    assert main(["train", "--data", str(bad), "--model", "rf", "--trees", "2",
-                 "--out", str(tmp_path / "m.json")]) == 2
+    assert main(_fill(DATA_STAGES[stage], model=pipeline["model"], out=out)
+                + ["--data", str(bad)]) == code
     err = capsys.readouterr().err
-    assert str(bad) in err and "row 3" in err and repr(column) in err and repr(cell) in err
-    assert not (tmp_path / "m.json").exists()
+    if code == 2:
+        assert str(bad) in err and "row 3" in err and repr(column) in err and repr(cell) in err
+    assert out.exists() == (code == 0)
 
 
 # sha256 of every artifact of synth -> extract -> label on the default synth
@@ -554,3 +583,112 @@ def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
     for word in words:
         assert word in err
     assert not out.exists()
+
+
+def _count_past_int64(doc):
+    doc["forest"]["trees"][0]["count"][0] = 10**30
+
+
+def _kind_object(doc):
+    doc["kind"] = {"rf": True}
+
+
+def _every_leaf_prob_5(doc):
+    for tree in doc["forest"]["trees"]:
+        tree["prob"] = [5.0 if f < 0 else p for f, p in zip(tree["feature"], tree["prob"])]
+
+
+@pytest.mark.parametrize("corrupt", [_count_past_int64, _kind_object, _every_leaf_prob_5])
+def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, corrupt):
+    doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
+    corrupt(doc)
+    model = tmp_path / "bad_model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    data = str(pipeline["labeled"]["netflow_v2"])
+    for stage in ("eval", "explain"):
+        out = tmp_path / stage
+        capsys.readouterr()
+        assert main([stage, "--data", data, "--model-file", str(model),
+                     "--out-dir", str(out)]) == 2
+        assert str(model) in capsys.readouterr().err
+        assert not out.exists()
+
+
+# runpy warns that flowlens.cli is already imported, as the tests have done.
+@pytest.mark.filterwarnings("ignore:'flowlens.cli' found in sys.modules")
+def test_cli_runs_as_main_of_another_module(pipeline, tmp_path, monkeypatch):
+    """``python -m cProfile -m flowlens.cli`` runs cli.py as ``__main__`` in a
+    namespace that is not in sys.modules; runpy does the same here."""
+    out = tmp_path / "rf.json"
+    monkeypatch.setattr(sys, "argv", [
+        "flowlens", "train", "--data", str(pipeline["labeled"]["netflow_v2"]),
+        "--model", "rf", "--trees", "2", "--out", str(out)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("flowlens.cli", run_name="__main__", alter_sys=False)
+    assert done.value.code == 0
+    assert out.is_file()
+
+
+# Drawn replacements for one cell: numbers in the forms both parsers read,
+# forms only Python reads, non-numbers, and the delimiter, quote and CR.
+CELL_VALUES = st.one_of(
+    st.integers(-2**64, 2**64).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["-0", "+3", " 3", "3 ", "1e5", "1_000", "", "abc", "nan", "inf",
+                     "0x10", "٣", str(2**53 + 1), "0", "1", "2", "Benign", "DoS",
+                     '"', 'a"b', '"DoS, slow"', "\r", "x\ry", ",", "#"]),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=60)
+@given(start=st.integers(0, 40), count=st.integers(1, 12), row=st.integers(0, 11),
+       col=st.integers(0, 100), edit=st.sampled_from(["cell", "extra", "missing", "line"]),
+       value=CELL_VALUES, stage=st.sampled_from(["train", "eval_saved", "explain"]))
+# Rows 10-21 of the table; row 5 of the slice is an attack, column 8 IN_BYTES.
+@example(start=10, count=12, row=5, col=8, edit="cell", value="1_000", stage="train")
+@example(start=10, count=12, row=5, col=8, edit="cell", value="-0", stage="eval_saved")
+@example(start=10, count=12, row=5, col=8, edit="cell", value="nan", stage="explain")
+@example(start=10, count=12, row=5, col=-2, edit="cell", value="2", stage="explain")
+@example(start=10, count=12, row=5, col=-1, edit="cell", value="Benign", stage="train")
+@example(start=10, count=12, row=5, col=-1, edit="cell", value='"Benign"', stage="train")
+@example(start=10, count=12, row=5, col=-1, edit="cell", value='"DoS, slow"', stage="eval_saved")
+@example(start=10, count=12, row=5, col=5, edit="cell", value="x\ry", stage="train")
+@example(start=10, count=12, row=5, col=0, edit="extra", value="0", stage="train")
+@example(start=10, count=12, row=5, col=8, edit="missing", value="", stage="eval_saved")
+@example(start=10, count=12, row=5, col=0, edit="line", value="", stage="explain")
+def test_mutated_labeled_csv_exits_0_or_2(pipeline, tmp_path_factory, start, count, row, col,
+                                          edit, value, stage):
+    """One cell or line of a slice of a valid labeled table replaced: the
+    matrix reader gives what ``read_labeled_csv`` then ``X()``/``y()`` give,
+    or raises its error text, and the model stages exit 0 or 2, never 1."""
+    lines = pipeline["labeled"]["netflow_v2"].read_text().split("\n")
+    body = lines[2:-1][start:start + count]
+    cells = body[row % len(body)].split(",")
+    if edit == "cell":
+        cells[col % len(cells)] = value
+    elif edit == "extra":
+        cells.append(value)
+    elif edit == "missing":
+        del cells[col % len(cells)]
+    body[row % len(body)] = value if edit == "line" else ",".join(cells)
+    tmp = tmp_path_factory.mktemp("mutated")
+    path = tmp / "table.csv"
+    path.write_bytes("\n".join(lines[:2] + body + [""]).encode("utf-8"))
+
+    try:
+        expected, meta = read_labeled_csv(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as raised:
+            read_labeled_matrix(path)
+        assert str(raised.value) == str(exc)
+    else:
+        got, got_meta = read_labeled_matrix(path)
+        assert got.X().shape == expected.X().shape
+        assert got.X().tobytes() == expected.X().tobytes()
+        assert got.y().dtype == expected.y().dtype and got.y().tolist() == expected.labels
+        assert got.schema == expected.schema and got_meta == meta
+
+    argv = _fill(DATA_STAGES[stage], model=pipeline["model"], out=tmp / "out")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + ["--data", str(path)]) in (0, 2)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlens import dataset
 from flowlens.dataset import (BENIGN, FeatureTable, GroundTruthEvent,
                               LabeledDataset, LabelStats, MinMaxScaler,
                               drop_identifiers, kfold_split, label_flows,
                               label_table, read_events_csv, read_feature_csv,
-                              read_labeled_csv, write_events_csv, write_feature_csv,
-                              write_labeled_csv)
+                              read_labeled_csv, read_labeled_matrix, write_events_csv,
+                              write_feature_csv, write_labeled_csv)
 from flowlens.features import compute_features
 from flowlens.flows import assemble_flows
 from flowlens.schema import SchemaError, load_schema
@@ -275,6 +276,42 @@ def test_label_outside_0_1_rejected(tmp_path, label):
     path.write_text("".join(lines))
     with pytest.raises(SchemaError, match=r"row 1, column 'Label'"):
         read_labeled_csv(path)
+
+
+def _assert_same_matrix(path, typed, meta):
+    got, got_meta = read_labeled_matrix(path)
+    assert got.X().tobytes() == typed.X().tobytes() and got.X().shape == typed.X().shape
+    assert got.y().dtype == typed.y().dtype and got.y().tolist() == typed.labels
+    assert got.schema == typed.schema and got_meta == meta
+
+
+def test_labeled_matrix_parses_a_plain_table_with_numpy(tmp_path, monkeypatch):
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(path, _tiny_labeled(), meta={"seed": 1})
+    typed, meta = read_labeled_csv(path)
+
+    def typed_reader(path):
+        raise AssertionError("a plain table went to the typed reader")
+
+    monkeypatch.setattr(dataset, "read_labeled_csv", typed_reader)
+    _assert_same_matrix(path, typed, meta)
+
+
+def test_labeled_matrix_keeps_negative_zero_in_a_column_past_2_53(tmp_path):
+    # From 2**53 on the typed reader parses a column cell by cell, and a
+    # "-0.0" cell stays -0.0; below it, every zero becomes int 0.
+    path = tmp_path / "labeled.csv"
+    write_labeled_csv(path, _tiny_labeled())
+    lines = path.read_text().splitlines(keepends=True)
+    j = CIC.learnable_indices[0]
+    for r, cell in ((1, str(2**53 + 2)), (2, "-0.0")):
+        cells = lines[r].rstrip("\n").split(",")
+        cells[j] = cell
+        lines[r] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+    typed, meta = read_labeled_csv(path)
+    assert np.signbit(typed.X()[1, 0])
+    _assert_same_matrix(path, typed, meta)
 
 
 _EVENTS_HEADER = "src_ip,dst_ip,protocol,start_ts,end_ts,category\n"
