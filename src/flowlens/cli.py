@@ -373,7 +373,7 @@ def cmd_explain(args) -> int:
     seed = st.seed()
     samples = st.get("samples", 500, _at_least(1))
     background_size = st.get("background", 100, _at_least(1))
-    budget = st.get("budget", 2048, lambda v: v if v == "full" else int(v))
+    budget = st.get("budget", 2048, int)
     labeled = _read_labeled(args.data, both_classes=False)
     saved = _load_saved_model(st, args.model_file, labeled)
 
@@ -385,15 +385,8 @@ def cmd_explain(args) -> int:
     st.effective["method"] = method
     if method == "tree" and saved.kind != "rf":
         raise CliError("setting method=tree: needs a forest model, the model is an MLP")
-    p = saved.model.n_features
-    limit = explain_mod.EXACT_FEATURE_LIMIT
-    if method == "exact" and p > limit:
-        raise CliError(f"setting method=exact: needs at most {limit} features, "
-                       f"the model has {p}")
-    if method == "kernel" and budget == "full" and p > limit:
-        raise CliError(f"setting budget=full: needs at most {limit} features, "
-                       f"the model has {p}")
-    if method == "kernel" and budget != "full":
+    if method == "kernel":
+        p = saved.model.n_features
         low = explain_mod.min_coalition_budget(p)
         if budget < low:
             raise CliError(f"setting budget={budget}: must be at least {low} for {p} features")
@@ -544,11 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True, help="labeled CSV from label")
     p.add_argument("--model-file", required=True, help="saved model JSON from train")
-    p.add_argument("--method", choices=["tree", "kernel", "exact"],
+    p.add_argument("--method", choices=["tree", "kernel"],
                    help="attribution engine (default: tree for forests, kernel otherwise)")
     p.add_argument("--samples", type=int, help="rows to explain (default 500)")
     p.add_argument("--background", type=int, help="background set size (default 100)")
-    p.add_argument("--budget", help="kernel coalition budget, or 'full' (default 2048)")
+    p.add_argument("--budget", help="kernel coalition budget (default 2048)")
     p.add_argument("--out-dir", required=True, help="directory for explanation artifacts")
     p.set_defaults(func=cmd_explain)
 

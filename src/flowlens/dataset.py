@@ -372,17 +372,24 @@ def _cr_quoted_line(cells: list[str]) -> str:
 @contextmanager
 def _open_body(path: str | Path) -> Iterator[tuple[list[str], dict, TextIO]]:
     """The header, the fields of the provenance line, and the file, positioned
-    at the first row."""
+    at the first row. Bytes that are not UTF-8, or a line the csv module
+    refuses, met here or while the caller reads the rows, are a
+    :class:`SchemaError` naming the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        meta: dict = {}
-        if first.startswith("#"):
-            meta = parse_meta_line(first)
+        try:
             first = fh.readline()
-        if not first:
-            raise SchemaError(f"{path}: empty CSV")
-        header = next(csv.reader([first.rstrip("\n")]))
-        yield header, meta, fh
+            meta: dict = {}
+            if first.startswith("#"):
+                meta = parse_meta_line(first)
+                first = fh.readline()
+            if not first:
+                raise SchemaError(f"{path}: empty CSV")
+            header = next(csv.reader([first.rstrip("\n")]))
+            yield header, meta, fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: malformed CSV: {exc}") from exc
 
 
 @contextmanager

@@ -115,16 +115,25 @@ def _require_finite(where: str, **arrays: np.ndarray):
             raise ModelFormatError(f"{where}: {name} holds a non-finite number")
 
 
+def _int_array(values, where: str, name: str) -> np.ndarray:
+    """A JSON list of integers as int64; one past int64 raises OverflowError."""
+    # json reads true as a bool, which numpy would take as 1, and 1.5, which
+    # an int64 array would truncate.
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+        raise ModelFormatError(f"{where}: {name} must be a list of integers")
+    return np.array(values, dtype=np.int64)
+
+
 def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     """A tree whose arrays agree in length, whose split features exist and
     whose children follow their parent, so every walk from the root ends."""
     _require(t, _TREE_KEYS, where)
     tree = DecisionTree(
-        feature=np.array(t["feature"], dtype=np.int64),
+        feature=_int_array(t["feature"], where, "feature"),
         threshold=np.array(t["threshold"], dtype=float),
-        left=np.array(t["left"], dtype=np.int64),
-        right=np.array(t["right"], dtype=np.int64),
-        count=np.array(t["count"], dtype=np.int64),
+        left=_int_array(t["left"], where, "left"),
+        right=_int_array(t["right"], where, "right"),
+        count=_int_array(t["count"], where, "count"),
         prob=np.array(t["prob"], dtype=float),
     )
     arrays = [getattr(tree, k) for k in _TREE_KEYS]
@@ -188,8 +197,12 @@ def load_model(path: str | Path) -> SavedModel:
             raise ModelFormatError(f"{path}: not JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
+        raise ModelFormatError(f"{path}: unsupported version {version!r}")
+    fingerprint = doc.get("schema_fingerprint")
+    if fingerprint is not None and not isinstance(fingerprint, str):
+        raise ModelFormatError(f"{path}: schema_fingerprint must be a string or null")
     loaders = {"rf": ("forest", _load_forest), "mlp": ("mlp", _load_mlp)}
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in loaders:
@@ -213,4 +226,4 @@ def load_model(path: str | Path) -> SavedModel:
     except (TypeError, ValueError, OverflowError) as exc:  # wrong types, ragged, past int64
         raise ModelFormatError(f"{path}: malformed model: {exc}") from exc
     return SavedModel(model, scaler, doc.get("feature_names"), doc.get("meta", {}),
-                      doc.get("schema_fingerprint"))
+                      fingerprint)

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -229,14 +230,28 @@ def _subcommands():
     return parser._subparsers._group_actions[0].choices.items()
 
 
-def test_every_cli_flag_documented_in_readme():
+def _readme_flags() -> dict[str, dict[str, set[str]]]:
+    """Per ``### <subcommand>`` section of README, its ``Flags:`` paragraph:
+    each backticked ``--flag`` and the backticked values in the parenthesis
+    right after it."""
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    flags = {}
+    for section in readme.split("\n### ")[1:]:
+        name, _, body = section.partition("\n")
+        paragraph = body.partition("\nFlags: ")[2].partition("\n\n")[0]
+        flags[name] = {flag: set(re.findall(r"`([^`]+)`", values)) for flag, values
+                       in re.findall(r"`(--[\w-]+)`(?:\s*\(([^)]*)\))?", paragraph)}
+    return flags
+
+
+def test_every_cli_flag_documented_in_readme():
+    """Each subcommand's README flags are its parser's options, and an option
+    with choices lists exactly them."""
+    readme = _readme_flags()
     for name, sub in _subcommands():
-        assert name in readme
-        for action in sub._actions:
-            for opt in action.option_strings:
-                if opt.startswith("--"):
-                    assert opt in readme, f"{name} flag {opt} missing from README"
+        options = {opt: set(action.choices or ()) for action in sub._actions
+                   for opt in action.option_strings if opt.startswith("--") and opt != "--help"}
+        assert readme.get(name) == options, name
 
 
 def test_every_cli_flag_appears_in_help():
@@ -375,7 +390,7 @@ def _fill(argv, **paths):
     (["extract", "--pcap", "{pcap}", "--schema", "netflow_v2", "--threads", "-3"], "threads"),
     (["train", "--model", "rf", "--threads", "0"], "threads"),
     (["eval", "--model", "rf", "--threads", "-1"], "threads"),
-    (["explain", "--model-file", "{model}", "--method", "exact"], "method"),
+    (["explain", "--model-file", "{model}", "--config", "{conf}"], "budget"),
     (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
      "budget"),
     (["explain", "--model-file", "{mlp}", "--method", "tree"], "method"),
@@ -384,7 +399,7 @@ def _fill(argv, **paths):
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
-    conf.write_text("trees=abc\n")
+    conf.write_text("trees=abc\nbudget=full\n")
     # the netflow table with its benign rows and one attack row
     lines = pipeline["labeled"]["netflow_v2"].read_text().splitlines(keepends=True)
     attack = next(line for line in lines[2:] if line.split(",")[-2] == "1")
@@ -400,6 +415,20 @@ def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting
     capsys.readouterr()
     assert main(command) == 2
     assert f"setting {setting}=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_explain_has_no_exact_method(pipeline, tmp_path, capsys):
+    """Exact enumeration needs at most 20 features, and every model train can
+    make has 39 or 77: the CLI does not offer it."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as done:
+        main(["explain", "--data", str(pipeline["labeled"]["netflow_v2"]),
+              "--model-file", str(pipeline["model"]), "--method", "exact",
+              "--out-dir", str(out)])
+    assert done.value.code == 2
+    assert "argument --method: invalid choice: 'exact'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -557,6 +586,15 @@ MALFORMED_TABLES = {
         p["features"]["netflow_v2"].read_text(), 3, 1, "nan"), ["row 2", "'TIMESTAMP'", "'nan'"]),
     "features_port": ("--features", lambda p, t: _replace_cell(
         p["features"]["netflow_v2"].read_text(), 2, 3, "x"), ["row 1", "'L4_SRC_PORT'", "'x'"]),
+    # A lone surrogate is written as the byte it escapes: not UTF-8.
+    "labeled_not_utf8": ("train", lambda p, t: _replace_cell(
+        p["labeled"]["netflow_v2"].read_text(), 5, 8, "\udcff\udcfe"), ["not UTF-8"]),
+    "labeled_field_limit": ("train", lambda p, t: _replace_cell(
+        p["labeled"]["netflow_v2"].read_text(), 5, -1, "x" * 200_000), ["field limit"]),
+    "features_not_utf8": ("--features", lambda p, t: _replace_cell(
+        p["features"]["netflow_v2"].read_text(), 3, 0, "\udcff"), ["not UTF-8"]),
+    "features_header_not_utf8": ("--features", lambda p, t: _replace_cell(
+        p["features"]["netflow_v2"].read_text(), 1, 0, "\udcff"), ["not UTF-8"]),
 }
 
 
@@ -564,7 +602,7 @@ MALFORMED_TABLES = {
 def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
     flag, make, words = MALFORMED_TABLES[case]
     bad = tmp_path / f"{case}.csv"
-    bad.write_text(make(pipeline, tmp_path))
+    bad.write_text(make(pipeline, tmp_path), encoding="utf-8", errors="surrogateescape")
     out = tmp_path / "out"
     if flag == "--events":
         argv = ["label", "--features", str(pipeline["features"]["netflow_v2"]),
@@ -598,7 +636,20 @@ def _every_leaf_prob_5(doc):
         tree["prob"] = [5.0 if f < 0 else p for f, p in zip(tree["feature"], tree["prob"])]
 
 
-@pytest.mark.parametrize("corrupt", [_count_past_int64, _kind_object, _every_leaf_prob_5])
+def _version_true(doc):
+    doc["version"] = True  # equal to 1 in Python
+
+
+def _version_float(doc):
+    doc["version"] = 1.0
+
+
+def _fingerprint_list(doc):
+    doc["schema_fingerprint"] = [1]
+
+
+@pytest.mark.parametrize("corrupt", [_count_past_int64, _kind_object, _every_leaf_prob_5,
+                                     _version_true, _version_float, _fingerprint_list])
 def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, corrupt):
     doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
     corrupt(doc)

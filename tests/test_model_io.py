@@ -133,10 +133,20 @@ def _nan_scaler_max(doc):
     doc["scaler"]["maxs"][0] = float("nan")
 
 
+def _fractional_child(doc):
+    # an int64 array would truncate it to the child it was
+    _tree(doc)["left"][_first_split(doc)] += 0.5
+
+
+def _bool_feature(doc):
+    # numpy would read it as feature 1
+    _tree(doc)["feature"][_first_split(doc)] = True
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_prob, _short_threshold, _child_to_root, _child_out_of_range,
     _feature_too_wide, _drop_trees, _scaler_too_narrow, _unknown_kind,
-    _nan_leaf_prob, _infinite_threshold, _nan_scaler_max,
+    _nan_leaf_prob, _infinite_threshold, _nan_scaler_max, _fractional_child, _bool_feature,
 ])
 def test_malformed_forest_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "rf")
