@@ -323,6 +323,10 @@ def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledMatrix):
         raise FingerprintMismatch("model and dataset were built from different feature columns")
     if saved.scaler is None:
         raise CliError("model file carries no scaler; cannot normalize inputs")
+    width = labeled.X().shape[1]
+    if saved.model.n_features != width:
+        raise CliError(f"model file {model_file} takes {saved.model.n_features} features; "
+                       f"the data has {width} learnable columns")
     return saved
 
 

@@ -153,11 +153,17 @@ def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     return tree
 
 
+def _n_features(payload: dict, where: str) -> int:
+    n_features = payload["n_features"]
+    if type(n_features) is not int or n_features < 1:  # json reads true as a bool
+        raise ModelFormatError(f"{where} n_features must be a positive integer, "
+                               f"not {n_features!r}")
+    return n_features
+
+
 def _load_forest(payload: dict) -> Forest:
     _require(payload, ("n_features", "params", "trees"), "forest")
-    n_features = payload["n_features"]
-    if not isinstance(n_features, int) or n_features < 1:
-        raise ModelFormatError("forest n_features must be a positive integer")
+    n_features = _n_features(payload, "forest")
     if not isinstance(payload["trees"], list) or not payload["trees"]:
         raise ModelFormatError("forest has no trees")
     trees = [_load_tree(t, n_features, f"tree {i}") for i, t in enumerate(payload["trees"])]
@@ -168,9 +174,10 @@ def _load_forest(payload: dict) -> Forest:
 def _load_mlp(payload: dict) -> Mlp:
     """An MLP whose layer shapes chain from n_features to one output."""
     _require(payload, ("n_features", "params", "weights", "biases", "loss_history"), "mlp")
+    n_features = _n_features(payload, "mlp")
     weights = [np.array(w, dtype=float) for w in payload["weights"]]
     biases = [np.array(b, dtype=float) for b in payload["biases"]]
-    width = payload["n_features"]
+    width = n_features
     if not weights or len(weights) != len(biases):
         raise ModelFormatError("mlp needs one bias vector per weight matrix")
     for i, (w, b) in enumerate(zip(weights, biases)):
@@ -184,7 +191,7 @@ def _load_mlp(payload: dict) -> Mlp:
     raw = dict(payload["params"])
     raw["hidden"] = tuple(raw["hidden"])
     return Mlp(weights=weights, biases=biases, params=MlpParams(**raw),
-               n_features=payload["n_features"], loss_history=list(payload["loss_history"]))
+               n_features=n_features, loss_history=list(payload["loss_history"]))
 
 
 def load_model(path: str | Path) -> SavedModel:

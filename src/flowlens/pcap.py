@@ -236,67 +236,111 @@ def _dotted_quad(address: int) -> str:
 
 # --- writing ---------------------------------------------------------------
 
-def _ip_bytes(ip: str) -> bytes:
-    parts = [int(p) for p in ip.split(".")]
-    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
+# Two locally administered MAC addresses and the IPv4 ethertype.
+_ETHERNET = bytes.fromhex("020000000001" "020000000002") + _ETHERTYPE.pack(ETHERTYPE_IPV4)
+# Ethernet, then the IPv4 header without options: version/IHL, zero TOS,
+# total length, zero ID and flags/fragment offset, TTL, protocol, checksum,
+# addresses.
+_FRAME_HEAD = struct.Struct(">14sBxH4xBBH4s4s")
+# ports, zero sequence and acknowledgement numbers, data offset/flags, window,
+# zero checksum and urgent pointer
+_TCP_HEAD = struct.Struct(">HH8xHH4x")
+# ports, length, zero checksum
+_UDP_HEAD = struct.Struct(">HHH2x")
+_ICMP_ECHO_REQUEST = bytes((8, 0, 0, 0, 0, 0, 0, 0))
+_RECORD_HEAD = struct.Struct("<IIII")  # ts_sec, ts_usec, incl_len, orig_len
+# A record header holds the seconds of a timestamp in 32 bits.
+_TS_LIMIT = 2**32 * 1_000_000
+
+
+def _ip_bytes(ip: str, addresses: dict[str, tuple[bytes, int]]) -> tuple[bytes, int]:
+    """Enter a dotted quad in ``addresses``: its four bytes and the sum of its
+    two 16-bit words, its share of the IPv4 header checksum. Only the form
+    the reader gives back is accepted (no leading zeros or signs)."""
+    try:
+        raw = bytes(int(p) for p in ip.split("."))  # bytes() refuses parts above 255
+    except ValueError:
+        raw = b""
+    if len(raw) != 4 or ".".join(map(str, raw)) != ip:
         raise ValueError(f"bad IPv4 address {ip!r}")
-    return bytes(parts)
+    entry = addresses[ip] = (raw, (raw[0] << 8 | raw[1]) + (raw[2] << 8 | raw[3]))
+    return entry
 
 
-def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += struct.unpack(">H", header[i : i + 2])[0]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+def build_frame(rec: PacketRecord,
+                addresses: dict[str, tuple[bytes, int]] | None = None) -> bytes:
+    """Serialize one record as an Ethernet/IPv4 frame with zeroed IP options
+    and payload.
 
-
-def build_frame(rec: PacketRecord) -> bytes:
-    """Serialize one record as an Ethernet/IPv4 frame with a zeroed payload."""
-    ip_header_len = rec.ip_total_len - rec.l4_header_len - rec.payload_len
-    if ip_header_len < 20:
-        raise ValueError("record implies an IPv4 header shorter than 20 bytes")
-    if rec.protocol != PROTO_TCP and (rec.tcp_flags or rec.tcp_window):
+    Raises ``ValueError`` for a record that :func:`parse_pcap` would not
+    give back as it is. ``addresses`` maps each address seen so far to its
+    bytes and checksum words (see :func:`_ip_bytes`), so that a writer
+    parses each address once.
+    """
+    (ts, src_ip, dst_ip, sport, dport, protocol, ttl, total_len, l4_len, payload_len,
+     flags, window) = rec
+    if not 0 <= ts < _TS_LIMIT:
+        raise ValueError(f"timestamp {ts} us is outside the pcap range")
+    if payload_len < 0:
+        raise ValueError("payload length is negative")
+    ip_len = total_len - l4_len - payload_len
+    if not 20 <= ip_len <= 60 or ip_len & 3:
+        raise ValueError(f"record implies an IPv4 header of {ip_len} bytes, "
+                         "not a multiple of 4 from 20 to 60")
+    if total_len > 0xFFFF:
+        raise ValueError(f"IPv4 total length {total_len} exceeds 65535")
+    if not 0 <= ttl <= 0xFF:
+        raise ValueError(f"TTL {ttl} is outside 0..255")
+    if protocol == PROTO_TCP:
+        if not 20 <= l4_len <= 60 or l4_len & 3:
+            raise ValueError(f"TCP header of {l4_len} bytes, not a multiple of 4 from 20 to 60")
+        if flags >> 8 or not 0 <= window <= 0xFFFF:
+            raise ValueError("TCP flags must fit 8 bits and the window 16 bits")
+    elif flags or window:
         raise ValueError("TCP flags/window must be 0 for non-TCP packets")
-    eth = b"\x02\x00\x00\x00\x00\x01" + b"\x02\x00\x00\x00\x00\x02" + struct.pack(">H", ETHERTYPE_IPV4)
-    ver_ihl = 0x40 | (ip_header_len // 4)
-    ip = struct.pack(
-        ">BBHHHBBH4s4s",
-        ver_ihl,
-        0,
-        rec.ip_total_len,
-        0,
-        0,
-        rec.ttl,
-        rec.protocol,
-        0,
-        _ip_bytes(rec.src_ip),
-        _ip_bytes(rec.dst_ip),
-    )
-    ip = ip[:10] + struct.pack(">H", _ip_checksum(ip)) + ip[12:]
-    ip += b"\x00" * (ip_header_len - 20)
-
-    if rec.protocol == PROTO_TCP:
-        offset_flags = ((rec.l4_header_len // 4) << 12) | rec.tcp_flags
-        l4 = struct.pack(
-            ">HHIIHHHH", rec.src_port, rec.dst_port, 0, 0, offset_flags, rec.tcp_window, 0, 0
-        )
-        l4 += b"\x00" * (rec.l4_header_len - 20)
-    elif rec.protocol == PROTO_UDP:
-        l4 = struct.pack(">HHHH", rec.src_port, rec.dst_port, 8 + rec.payload_len, 0)
-    elif rec.protocol == PROTO_ICMP:
-        l4 = struct.pack(">BBHI", 8, 0, 0, 0)  # echo request
+    elif l4_len != 8:
+        raise ValueError(f"a UDP or ICMP header is 8 bytes, not {l4_len}")
+    if protocol == PROTO_ICMP:
+        if sport or dport:
+            raise ValueError("ICMP packets have no ports")
+        l4 = _ICMP_ECHO_REQUEST
+    elif not (0 <= sport <= 0xFFFF and 0 <= dport <= 0xFFFF):
+        raise ValueError(f"port {sport} or {dport} is outside 0..65535")
+    elif protocol == PROTO_TCP:
+        l4 = _TCP_HEAD.pack(sport, dport, l4_len << 10 | flags, window)  # offset in words
+    elif protocol == PROTO_UDP:
+        l4 = _UDP_HEAD.pack(sport, dport, 8 + payload_len)
     else:
-        raise ValueError(f"cannot serialize IP protocol {rec.protocol}")
-    return eth + ip + l4 + b"\x00" * rec.payload_len
+        raise ValueError(f"cannot serialize IP protocol {protocol}")
+
+    if addresses is None:
+        addresses = {}
+    src, src_words = addresses.get(src_ip) or _ip_bytes(src_ip, addresses)
+    dst, dst_words = addresses.get(dst_ip) or _ip_bytes(dst_ip, addresses)
+    ver_ihl = 0x40 | ip_len >> 2
+    # RFC 1071: the one's-complement sum of the header's 16-bit words, of
+    # which only these are nonzero. It stays below 2**19, so two folds
+    # carry every overflow back in.
+    total = (ver_ihl << 8) + total_len + (ttl << 8) + protocol + src_words + dst_words
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    head = _FRAME_HEAD.pack(_ETHERNET, ver_ihl, total_len, ttl, protocol, total ^ 0xFFFF,
+                            src, dst)
+    # Zeroed IP options, the transport header, then its options and the payload.
+    return b"".join((head, bytes(ip_len - 20), l4, bytes(l4_len - len(l4) + payload_len)))
 
 
 def write_pcap(stream: BinaryIO, packets: Iterable[PacketRecord]):
-    """Write packets as a little-endian microsecond pcap, Ethernet link type."""
-    stream.write(struct.pack("<IHHiIII", _MAGIC_MICROS, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
+    """Write packets as a little-endian microsecond pcap, Ethernet link type.
+
+    Raises ``ValueError`` at the first record :func:`build_frame` refuses,
+    with the records before it written.
+    """
+    write = stream.write
+    write(struct.pack("<IHHiIII", _MAGIC_MICROS, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
+    addresses: dict[str, tuple[bytes, int]] = {}  # each address seen in this call
+    pack_head = _RECORD_HEAD.pack
     for rec in packets:
-        frame = build_frame(rec)
+        frame = build_frame(rec, addresses)
         sec, micro = divmod(rec.ts_micros, 1_000_000)
-        stream.write(struct.pack("<IIII", sec, micro, len(frame), len(frame)))
-        stream.write(frame)
+        write(pack_head(sec, micro, len(frame), len(frame)) + frame)

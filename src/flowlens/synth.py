@@ -33,25 +33,29 @@ class ScenarioParams:
     seed: int = 7
 
 
+_TTLS = (63, 64, 127, 128)
+_DOS_TTLS = (63, 64)
+_SERVICE_PORTS = (80, 443, 22)
+
+
+def _pick(rng, options: tuple[int, ...]) -> int:
+    """The draw of ``rng.choice(options)``, without building an array."""
+    return options[int(rng.integers(0, len(options)))]
+
+
 def _tcp(ts, src, sport, dst, dport, ttl, payload, flags, window):
-    return PacketRecord(
-        ts_micros=int(ts), src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-        protocol=PROTO_TCP, ttl=ttl, ip_total_len=40 + payload, l4_header_len=20,
-        payload_len=payload, tcp_flags=flags, tcp_window=window,
-    )
+    return PacketRecord(int(ts), src, dst, sport, dport, PROTO_TCP, ttl, 40 + payload, 20,
+                        payload, flags, window)
 
 
 def _udp(ts, src, sport, dst, dport, ttl, payload):
-    return PacketRecord(
-        ts_micros=int(ts), src_ip=src, dst_ip=dst, src_port=sport, dst_port=dport,
-        protocol=PROTO_UDP, ttl=ttl, ip_total_len=28 + payload, l4_header_len=8,
-        payload_len=payload,
-    )
+    return PacketRecord(int(ts), src, dst, sport, dport, PROTO_UDP, ttl, 28 + payload, 8,
+                        payload, 0, 0)
 
 
 def _benign_http_flow(rng, start, client, cport, server, sport) -> list[PacketRecord]:
-    cttl = int(rng.choice([63, 64, 127, 128]))
-    sttl = int(rng.choice([63, 64, 127, 128]))
+    cttl = _pick(rng, _TTLS)
+    sttl = _pick(rng, _TTLS)
     cwin = int(rng.integers(8192, 65535))
     swin = int(rng.integers(8192, 65535))
     gap = lambda: int(rng.integers(5_000, 80_000))
@@ -80,7 +84,7 @@ def _benign_http_flow(rng, start, client, cport, server, sport) -> list[PacketRe
 def _benign_dns_flow(rng, start, client, cport, server) -> list[PacketRecord]:
     # Tiny two-packet exchanges keep packet counts and durations overlapping
     # with the short attack flows.
-    ttl = int(rng.choice([63, 64, 127, 128]))
+    ttl = _pick(rng, _TTLS)
     reply_gap = int(rng.integers(800, 30_000))
     return [
         _udp(start, client, cport, server, 53, ttl, int(rng.integers(20, 60))),
@@ -89,7 +93,7 @@ def _benign_dns_flow(rng, start, client, cport, server) -> list[PacketRecord]:
 
 
 def _flood_flow(rng, start, src, sport) -> list[PacketRecord]:
-    ttl = int(rng.choice([63, 64, 127, 128]))
+    ttl = _pick(rng, _TTLS)
     pkts = [_tcp(start, src, sport, FLOOD_VICTIM, 80, ttl, 0, SYN, int(rng.integers(512, 4096)))]
     if rng.random() < 0.3:
         pkts.append(
@@ -100,7 +104,7 @@ def _flood_flow(rng, start, src, sport) -> list[PacketRecord]:
 
 
 def _dos_flow(rng, start, src, sport) -> list[PacketRecord]:
-    ttl = int(rng.choice([63, 64]))
+    ttl = _pick(rng, _DOS_TTLS)
     win = int(rng.integers(8192, 32768))
     n = int(rng.integers(30, 60))
     iat = int(rng.integers(200, 600))  # constant per flow: thousands of packets/s
@@ -128,7 +132,7 @@ def generate_scenario(params: ScenarioParams | None = None) -> tuple[list[Packet
         start = int(rng.integers(0, 600 * _US))
         client = f"10.0.1.{1 + i % 40}"
         server = f"10.0.2.{1 + i % 6}"
-        sport = int(rng.choice([80, 443, 22]))
+        sport = _pick(rng, _SERVICE_PORTS)
         packets.extend(_benign_http_flow(rng, start, client, 20_000 + i, server, sport))
 
     for i in range(params.benign_dns):

@@ -341,6 +341,22 @@ def test_default_scenario_ingest_artifacts_match_golden_digests(tmp_path):
     assert matrices == GOLDEN_X_SHA256
 
 
+# sha256 of synth's artifacts on a smaller scenario of another seed, so that
+# the order of the generator's draws is pinned beyond seed 7.
+GOLDEN_SYNTH_SHA256 = {
+    "synth.pcap": "949a90e6d2321f218bf49614ac7850a75c51550e9e964fa9fbac34cdb77177cf",
+    "ground_truth.csv": "ce7a1b88fefd195a76cecae02356d1dadb38b58b68574757a718c7c7fbc8c6ea",
+}
+
+
+def test_small_seed_3_scenario_synth_artifacts_match_golden_digests(tmp_path):
+    assert main(["synth", "--out-dir", str(tmp_path), "--seed", "3", "--benign-http", "40",
+                 "--benign-dns", "20", "--flood-flows", "30", "--dos-flows", "10"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SYNTH_SHA256}
+    assert digests == GOLDEN_SYNTH_SHA256
+
+
 def test_extract_prints_skip_reasons(tmp_path, capsys):
     udp = raw_ethernet(0x0800, raw_ipv4("10.0.0.1", "10.0.0.2", 17, 64,
                                         raw_udp(5353, 53, b"ab")))
@@ -648,10 +664,39 @@ def _fingerprint_list(doc):
     doc["schema_fingerprint"] = [1]
 
 
-@pytest.mark.parametrize("corrupt", [_count_past_int64, _kind_object, _every_leaf_prob_5,
-                                     _version_true, _version_float, _fingerprint_list])
-def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, corrupt):
-    doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
+def _n_features_true(doc):
+    # true equals 1: with every split on feature 0 and a one-wide scaler, the
+    # rest of the file agrees with it
+    forest = doc["forest"]
+    forest["n_features"] = True
+    for tree in forest["trees"]:
+        tree["feature"] = [min(f, 0) for f in tree["feature"]]
+    for key in ("mins", "maxs"):
+        doc["scaler"][key] = doc["scaler"][key][:1]
+
+
+def _n_features_float(doc):
+    doc["mlp"]["n_features"] = float(doc["mlp"]["n_features"])  # equal to the weights' width
+
+
+def _n_features_40(doc):
+    # a file that agrees with itself, one column wider than the data
+    doc["forest"]["n_features"] = 40
+    for key in ("mins", "maxs"):
+        doc["scaler"][key].append(0.0)
+
+
+@pytest.mark.parametrize("model_key, corrupt, words", [
+    pytest.param("model", corrupt, (), id=corrupt.__name__)
+    for corrupt in (_count_past_int64, _kind_object, _every_leaf_prob_5, _version_true,
+                    _version_float, _fingerprint_list, _n_features_true)
+] + [
+    pytest.param("mlp", _n_features_float, (), id="_mlp_n_features_float"),
+    pytest.param("model", _n_features_40, ("40 features", "39 learnable columns"),
+                 id="_n_features_40"),
+])
+def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, model_key, corrupt, words):
+    doc = json.loads(pipeline[model_key].read_text(encoding="utf-8"))
     corrupt(doc)
     model = tmp_path / "bad_model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
@@ -661,7 +706,10 @@ def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, corrupt):
         capsys.readouterr()
         assert main([stage, "--data", data, "--model-file", str(model),
                      "--out-dir", str(out)]) == 2
-        assert str(model) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(model) in err
+        for word in words:
+            assert word in err
         assert not out.exists()
 
 

@@ -143,10 +143,22 @@ def _bool_feature(doc):
     _tree(doc)["feature"][_first_split(doc)] = True
 
 
+def _n_features_true(doc):
+    # true equals 1: with every split on feature 0 and a one-wide scaler, the
+    # rest of the file agrees with it
+    forest = doc["forest"]
+    forest["n_features"] = True
+    for tree in forest["trees"]:
+        tree["feature"] = [min(f, 0) for f in tree["feature"]]
+    for key in ("mins", "maxs"):
+        doc["scaler"][key] = doc["scaler"][key][:1]
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_prob, _short_threshold, _child_to_root, _child_out_of_range,
     _feature_too_wide, _drop_trees, _scaler_too_narrow, _unknown_kind,
     _nan_leaf_prob, _infinite_threshold, _nan_scaler_max, _fractional_child, _bool_feature,
+    _n_features_true,
 ])
 def test_malformed_forest_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "rf")
@@ -190,9 +202,13 @@ def _infinite_bias(doc):
     doc["mlp"]["biases"][-1][0] = float("-inf")
 
 
+def _n_features_float(doc):
+    doc["mlp"]["n_features"] = float(doc["mlp"]["n_features"])  # equal to the weights' width
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_biases, _weights_do_not_chain, _bias_too_short, _ragged_weights,
-    _first_layer_too_wide, _two_outputs, _nan_weight, _infinite_bias,
+    _first_layer_too_wide, _two_outputs, _nan_weight, _infinite_bias, _n_features_float,
 ])
 def test_malformed_mlp_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "mlp")

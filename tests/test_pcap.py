@@ -269,6 +269,50 @@ def test_written_records_parse_back(packets):
     assert stats.skipped == 0
 
 
+# Any integer a field might be given, around the edges of each header field.
+ANY_INT = st.one_of(st.integers(-2, 70), st.integers(-2**40, 2**40),
+                    st.sampled_from([255, 256, 65535, 65536, 2**32 * 1_000_000 - 1,
+                                     2**32 * 1_000_000]))
+ANY_FIELD = {name: ANY_INT for name in PacketRecord._fields}
+ANY_FIELD["src_ip"] = ANY_FIELD["dst_ip"] = st.one_of(
+    IPS, st.text(alphabet="0123456789.+-_ x", max_size=16))
+ANY_FIELD["protocol"] = st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP, 0, 47, 256])
+
+
+@st.composite
+def any_records(draw):
+    """A writable record with up to three fields replaced by values that need
+    not agree with the others or fit their header field."""
+    rec = draw(packet_records())
+    fields = draw(st.sets(st.sampled_from(PacketRecord._fields), max_size=3))
+    return rec._replace(**{name: draw(ANY_FIELD[name]) for name in fields})
+
+
+@settings(max_examples=400)
+@given(rec=any_records())
+def test_writer_refuses_or_round_trips_any_record(rec):
+    try:
+        data = capture_bytes([rec])
+    except ValueError:
+        return
+    records, stats = parse_bytes(data)
+    assert records == [rec]
+    assert stats.skipped == 0
+
+
+@settings(max_examples=100)
+@given(rec=packet_records())
+def test_written_ip_header_checksum_verifies(rec):
+    """RFC 1071: the one's-complement sum of the header's 16-bit words,
+    checksum included, is 0xFFFF."""
+    ip = build_frame(rec)[14:]
+    header = ip[:(ip[0] & 0x0F) * 4]
+    total = sum(struct.unpack(f">{len(header) // 2}H", header))
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    assert total == 0xFFFF
+
+
 @settings(max_examples=150)
 @given(packets=st.lists(packet_records(), min_size=1, max_size=4), data=st.data())
 def test_truncated_capture_gives_prefix_and_one_skip(packets, data):
@@ -328,6 +372,18 @@ def test_arbitrary_ipv4_headers_keep_decoder_invariants(protocol, ihl_words, tot
     # 20-byte TCP header + 30 payload bytes in a 40-byte IP packet
     tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(payload_len=30),
     udp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2, payload=4)._replace(ip_total_len=20),
+    # header lengths the decoder would read back otherwise, or skip
+    udp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(l4_header_len=20, ip_total_len=40),
+    udp_packet(0, "10.0.0.1", 0, "10.0.0.2", 0)._replace(protocol=PROTO_ICMP, l4_header_len=12,
+                                                         ip_total_len=32),
+    tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(l4_header_len=22, ip_total_len=42),
+    tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(ip_total_len=42),  # 22-byte IP header
+    tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(ip_total_len=84),  # 64: IHL 16 sets the version
+    # fields wider than their place in the headers
+    tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2)._replace(l4_header_len=64, ip_total_len=84),
+    tcp_packet(0, "10.0.0.1", 70_000, "10.0.0.2", 2),
+    tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2, ttl=300),
+    tcp_packet(-1, "10.0.0.1", 1, "10.0.0.2", 2),
 ])
 def test_inconsistent_records_are_not_serialized(record):
     with pytest.raises(ValueError):
