@@ -296,6 +296,8 @@ def build_frame(rec: PacketRecord,
             raise ValueError(f"TCP header of {l4_len} bytes, not a multiple of 4 from 20 to 60")
         if flags >> 8 or not 0 <= window <= 0xFFFF:
             raise ValueError("TCP flags must fit 8 bits and the window 16 bits")
+    elif protocol not in (PROTO_UDP, PROTO_ICMP):
+        raise ValueError(f"cannot serialize IP protocol {protocol}")
     elif flags or window:
         raise ValueError("TCP flags/window must be 0 for non-TCP packets")
     elif l4_len != 8:
@@ -308,10 +310,8 @@ def build_frame(rec: PacketRecord,
         raise ValueError(f"port {sport} or {dport} is outside 0..65535")
     elif protocol == PROTO_TCP:
         l4 = _TCP_HEAD.pack(sport, dport, l4_len << 10 | flags, window)  # offset in words
-    elif protocol == PROTO_UDP:
-        l4 = _UDP_HEAD.pack(sport, dport, 8 + payload_len)
     else:
-        raise ValueError(f"cannot serialize IP protocol {protocol}")
+        l4 = _UDP_HEAD.pack(sport, dport, 8 + payload_len)
 
     if addresses is None:
         addresses = {}
