@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from importlib import import_module
@@ -29,7 +28,7 @@ from .flows import (DEFAULT_ACTIVE_TIMEOUT, DEFAULT_ACTIVITY_TIMEOUT,
                     DEFAULT_IDLE_TIMEOUT, assemble_flows)
 from .pcap import ParseStats, PcapFormatError, parse_pcap, write_pcap
 from .schema import FingerprintMismatch, ModelFormatError, SchemaError, load_schema
-from .util import config_hash, meta_line
+from .util import FOREST_RULES, MLP_RULES, at_least, config_hash, finite_positive, meta_line
 
 # Names from numpy and the modules that import it, bound on first use by
 # __getattr__, so that extract and label never import numpy. Commands read
@@ -43,7 +42,6 @@ _LAZY = {
     "ModelSpec": (".evaluation", "ModelSpec"),
     "crossval_evaluate": (".evaluation", "crossval_evaluate"),
     "evaluate_split": (".evaluation", "evaluate_split"),
-    "Forest": (".forest", "Forest"),
     "ForestParams": (".forest", "ForestParams"),
     "MlpParams": (".mlp", "MlpParams"),
     "load_model": (".model_io", "load_model"),
@@ -84,11 +82,9 @@ class CliError(Exception):
 def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"config file not found: {path}")
     config = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    text = _require_file(path, "config file").read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
@@ -107,7 +103,7 @@ class Settings:
         self.config = _load_config_file(getattr(args, "config", None))
         self.effective: dict[str, object] = {"command": args.command}
 
-    def get(self, key: str, default, cast=None):
+    def get(self, key: str, default, cast):
         """The flag, else the config value, else ``default``, through ``cast``.
         A value that ``cast`` refuses is an input error naming the setting."""
         value = getattr(self.args, key, None)
@@ -115,54 +111,24 @@ class Settings:
             value = self.config[key]
         if value is None:
             value = default
-        if cast is not None and value is not None:
-            try:
-                value = cast(value)
-            except ValueError as exc:
-                raise CliError(f"setting {key}={value}: {exc}") from exc
+        try:
+            value = cast(value)
+        except ValueError as exc:
+            raise CliError(f"setting {key}={value}: {exc}") from exc
         self.effective[key] = value
         return value
 
     def seed(self) -> int:
-        return self.get("seed", os.environ.get(SEED_ENV_VAR) or DEFAULT_SEED, _at_least(0))
+        return self.get("seed", os.environ.get(SEED_ENV_VAR) or DEFAULT_SEED, at_least(0))
 
     def provenance(self) -> dict:
         return {"config_hash": config_hash(self.effective),
                 "seed": self.effective.get("seed", DEFAULT_SEED)}
 
 
-def _at_least(low: int):
-    """A cast to int that refuses values below ``low``."""
-    def cast(value) -> int:
-        number = int(value)
-        if number < low:
-            raise ValueError(f"must be at least {low}")
-        return number
-    return cast
-
-
-def _finite_positive(value) -> float:
-    """A cast to float that refuses NaN, infinities and values not above 0."""
-    number = float(value)
-    if not 0.0 < number < math.inf:
-        raise ValueError("must be a finite number above 0")
-    return number
-
-
-def _feature_fraction(value) -> float | str:
-    if value == "sqrt":
-        return value
-    fraction = float(value)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("must be 'sqrt' or a fraction in (0, 1]")
-    return fraction
-
-
 def _layer_sizes(value) -> str:
-    """Comma-separated positive layer sizes, kept as written: the text is
-    what provenance hashes."""
-    if any(int(size) < 1 for size in str(value).split(",") if size):
-        raise ValueError("layer sizes must be positive integers")
+    """Comma-separated hidden layer sizes, kept as text, which provenance hashes."""
+    MLP_RULES["hidden"](size for size in str(value).split(",") if size)
     return str(value)
 
 
@@ -186,10 +152,10 @@ def cmd_synth(args) -> int:
     seed = st.seed()
     scenario = _cli.ScenarioParams
     params = scenario(
-        benign_http=st.get("benign_http", scenario.benign_http, _at_least(0)),
-        benign_dns=st.get("benign_dns", scenario.benign_dns, _at_least(0)),
-        flood_flows=st.get("flood_flows", scenario.flood_flows, _at_least(0)),
-        dos_flows=st.get("dos_flows", scenario.dos_flows, _at_least(0)),
+        benign_http=st.get("benign_http", scenario.benign_http, at_least(0)),
+        benign_dns=st.get("benign_dns", scenario.benign_dns, at_least(0)),
+        flood_flows=st.get("flood_flows", scenario.flood_flows, at_least(0)),
+        dos_flows=st.get("dos_flows", scenario.dos_flows, at_least(0)),
         seed=seed,
     )
     out = _out_dir(args.out_dir)
@@ -204,10 +170,10 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     st = Settings(args)
     st.seed()
-    idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, _finite_positive)
-    active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, _finite_positive)
-    activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, _finite_positive)
-    threads = st.get("threads", 1, _at_least(1))
+    idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, finite_positive)
+    active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, finite_positive)
+    activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, finite_positive)
+    threads = st.get("threads", 1, at_least(1))
     st.effective["schema"] = args.schema
     schema = load_schema(args.schema)
 
@@ -268,18 +234,18 @@ def _model_spec(st: Settings, seed: int) -> ModelSpec:
     kind = st.args.model
     st.effective["model"] = kind
     forest = _cli.ForestParams(
-        n_trees=st.get("trees", 100, _at_least(1)),
-        max_depth=st.get("max_depth", 16, _at_least(1)),
-        min_samples_split=st.get("min_samples_split", 2, _at_least(2)),
-        feature_subsample=st.get("feature_fraction", "sqrt", _feature_fraction),
+        n_trees=st.get("trees", 100, FOREST_RULES["n_trees"]),
+        max_depth=st.get("max_depth", 16, FOREST_RULES["max_depth"]),
+        min_samples_split=st.get("min_samples_split", 2, FOREST_RULES["min_samples_split"]),
+        feature_subsample=st.get("feature_fraction", "sqrt", FOREST_RULES["feature_subsample"]),
         seed=seed,
     )
     hidden = st.get("hidden", "64,32,16", _layer_sizes)
     mlp = _cli.MlpParams(
         hidden=tuple(int(h) for h in hidden.split(",") if h),
-        learning_rate=st.get("learning_rate", 0.05, _finite_positive),
-        epochs=st.get("epochs", 60, _at_least(1)),
-        batch_size=st.get("batch_size", 32, _at_least(1)),
+        learning_rate=st.get("learning_rate", 0.05, MLP_RULES["learning_rate"]),
+        epochs=st.get("epochs", 60, MLP_RULES["epochs"]),
+        batch_size=st.get("batch_size", 32, MLP_RULES["batch_size"]),
         seed=seed,
     )
     return _cli.ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
@@ -288,13 +254,12 @@ def _model_spec(st: Settings, seed: int) -> ModelSpec:
 def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    threads = st.get("threads", 1, _at_least(1))
     labeled = _read_labeled(args.data, both_classes=True)
     spec = _model_spec(st, seed)
 
     X_raw = labeled.X()
     scaler = ds_mod.MinMaxScaler.fit(X_raw)
-    model = spec.train(scaler.transform(X_raw), labeled.y(), threads=threads)
+    model = spec.train(scaler.transform(X_raw), labeled.y())
     _cli.save_model(args.out, model, scaler=scaler,
                     feature_names=labeled.schema.learnable_names, meta=st.provenance(),
                     schema_fingerprint=labeled.schema.fingerprint())
@@ -333,9 +298,8 @@ def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledMatrix):
 def cmd_eval(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    threads = st.get("threads", 1, _at_least(1))
-    timing_rows = st.get("timing_rows", 256, _at_least(1))
-    timing_repeats = st.get("timing_repeats", 3, _at_least(1))
+    timing_rows = st.get("timing_rows", 256, at_least(1))
+    timing_repeats = st.get("timing_repeats", 3, at_least(1))
     labeled = _read_labeled(args.data, both_classes=True)
     dataset_name = Path(args.data).stem
 
@@ -350,7 +314,7 @@ def cmd_eval(args) -> int:
     else:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
-        k = st.get("folds", 5, _at_least(2))
+        k = st.get("folds", 5, at_least(2))
         y = labeled.y()
         attacks = int(y.sum())
         rare = min(attacks, len(y) - attacks)
@@ -360,7 +324,7 @@ def cmd_eval(args) -> int:
         spec = _model_spec(st, seed)
         report = _cli.crossval_evaluate(
             labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
-            threads=threads, timing_rows=timing_rows, timing_repeats=timing_repeats,
+            timing_rows=timing_rows, timing_repeats=timing_repeats,
             feature_set=labeled.schema.name,
         )
         stem = f"{dataset_name}_{spec.kind}"
@@ -375,17 +339,15 @@ def cmd_eval(args) -> int:
 def cmd_explain(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    samples = st.get("samples", 500, _at_least(1))
-    background_size = st.get("background", 100, _at_least(1))
+    samples = st.get("samples", 500, at_least(1))
+    background_size = st.get("background", 100, at_least(1))
     budget = st.get("budget", 2048, int)
     labeled = _read_labeled(args.data, both_classes=False)
     saved = _load_saved_model(st, args.model_file, labeled)
 
     explain_mod, np = _cli.explain_mod, _cli.np
 
-    method = args.method
-    if method is None:
-        method = "tree" if isinstance(saved.model, _cli.Forest) else "kernel"
+    method = args.method or ("tree" if saved.kind == "rf" else "kernel")
     st.effective["method"] = method
     if method == "tree" and saved.kind != "rf":
         raise CliError("setting method=tree: needs a forest model, the model is an MLP")
@@ -415,8 +377,7 @@ def cmd_explain(args) -> int:
     report_mod.write_explanations_jsonl(out / f"{stem}_explanations.jsonl",
                                         explanations, seed=seed, meta=provenance)
     report_mod.write_ranking_csv(out / f"{stem}_ranking.csv", ranking, meta=provenance)
-    top = ranking.top(5)
-    names = ", ".join(name for _, name, _, _ in top)
+    names = ", ".join(name for _, name, _, _ in ranking.top(5))
     print(f"explained {len(explanations)} samples ({method}); top features: {names}")
     return EXIT_OK
 
@@ -424,7 +385,7 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     st = Settings(args)
     st.seed()
-    top_k = st.get("top_k", 20, _at_least(1))
+    top_k = st.get("top_k", 20, at_least(1))
     report_mod = _cli.report_mod
     reports = [report_mod.read_report_csv(_require_file(p, "report CSV"))
                for p in (args.reports or [])]
@@ -520,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled CSV from label")
     p.add_argument("--model", required=True, choices=["rf", "mlp"], help="model kind")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--threads", type=int, help="worker threads for tree training")
     model_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -531,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", help="saved model JSON to evaluate instead of training")
     p.add_argument("--folds", type=int, help="cross-validation folds (default 5)")
     p.add_argument("--out-dir", required=True, help="directory for report files")
-    p.add_argument("--threads", type=int, help="worker threads for tree training")
     p.add_argument("--timing-rows", type=int, help="rows used to time single-sample prediction")
     p.add_argument("--timing-repeats", type=int, help="timing repeats; the median is reported")
     model_flags(p)
@@ -567,13 +526,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except FingerprintMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (PcapFormatError, SchemaError, ModelFormatError) as exc:
+    except (FileNotFoundError, PcapFormatError, SchemaError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything unexpected

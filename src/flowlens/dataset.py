@@ -261,7 +261,8 @@ class MinMaxScaler:
 
         span = self.maxs - self.mins
         safe = np.where(span == 0, 1.0, span)
-        out = (rows - self.mins) / safe
+        with np.errstate(over="ignore"):  # a quotient past the float range clips to 1
+            out = (rows - self.mins) / safe
         out = np.where(span == 0, 0.0, out)  # constant columns map to 0
         return np.clip(out, 0.0, 1.0)
 

@@ -115,9 +115,9 @@ class ModelSpec:
     forest_params: ForestParams = field(default_factory=ForestParams)
     mlp_params: MlpParams = field(default_factory=MlpParams)
 
-    def train(self, X: np.ndarray, y: np.ndarray, threads: int = 1) -> Forest | Mlp:
+    def train(self, X: np.ndarray, y: np.ndarray) -> Forest | Mlp:
         if self.kind == "rf":
-            return train_forest(X, y, self.forest_params, threads=threads)
+            return train_forest(X, y, self.forest_params)
         if self.kind == "mlp":
             return train_mlp(X, y, self.mlp_params)
         raise ValueError(f"unknown model kind {self.kind!r}")
@@ -190,7 +190,6 @@ def crossval_evaluate(
     k: int = 5,
     seed: int = 0,
     dataset_name: str = "dataset",
-    threads: int = 1,
     timing_rows: int = 256,
     timing_repeats: int = 3,
     feature_set: str = "",
@@ -205,7 +204,7 @@ def crossval_evaluate(
     for fold, (train_idx, test_idx) in enumerate(_dataset.kfold_split(y, k=k, seed=seed)):
         scaler = MinMaxScaler.fit(X[train_idx])
         try:
-            model = spec.train(scaler.transform(X[train_idx]), y[train_idx], threads=threads)
+            model = spec.train(scaler.transform(X[train_idx]), y[train_idx])
         except Exception as exc:
             raise RuntimeError(f"training failed on fold {fold}: {exc}") from exc
         folds.append(

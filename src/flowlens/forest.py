@@ -3,8 +3,7 @@
 Trees are stored as flat arrays (feature, threshold, left, right, sample
 count, class-1 probability), which keeps prediction simple and gives the
 explanation engine direct access to the split structure. Per-tree randomness
-derives from the master seed and the tree index, so serial and parallel
-training agree.
+derives from the master seed and the tree index.
 
 Each split search draws its candidate features, sorts all of them in one
 ``argsort`` over a (candidates x rows) block, and computes the Gini score only
@@ -216,9 +215,8 @@ def train_forest(
     X: np.ndarray,
     y: np.ndarray,
     params: ForestParams | None = None,
-    threads: int = 1,
 ) -> Forest:
-    """Fit a forest; deterministic for a fixed seed, serial or threaded."""
+    """Fit a forest; deterministic for a fixed seed."""
     if params is None:
         params = ForestParams()
     X = np.asarray(X, dtype=float)
@@ -230,12 +228,5 @@ def train_forest(
     if len(np.unique(y)) < 2:
         raise ValueError("training data has a single class; cannot fit a discriminator")
 
-    indices = range(params.n_trees)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(lambda i: _grow_tree(X, y, params, i), indices))
-    else:
-        trees = [_grow_tree(X, y, params, i) for i in indices]
+    trees = [_grow_tree(X, y, params, i) for i in range(params.n_trees)]
     return Forest(trees=trees, params=params, n_features=X.shape[1])

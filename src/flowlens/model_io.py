@@ -19,6 +19,7 @@ from .dataset import MinMaxScaler
 from .forest import DecisionTree, Forest, ForestParams
 from .mlp import Mlp, MlpParams
 from .schema import ModelFormatError
+from .util import FOREST_RULES, MLP_RULES, at_least
 
 FORMAT_NAME = "flowlens-model"
 FORMAT_VERSION = 1
@@ -79,11 +80,9 @@ def save_model(
         "schema_fingerprint": schema_fingerprint,
         "feature_names": feature_names,
         "meta": meta or {},
+        "scaler": None if scaler is None else {"mins": scaler.mins.tolist(),
+                                               "maxs": scaler.maxs.tolist()},
     }
-    if scaler is not None:
-        doc["scaler"] = {"mins": scaler.mins.tolist(), "maxs": scaler.maxs.tolist()}
-    else:
-        doc["scaler"] = None
     if isinstance(model, Forest):
         doc["kind"] = "rf"
         doc["forest"] = _forest_payload(model)
@@ -125,8 +124,8 @@ def _int_array(values, where: str, name: str) -> np.ndarray:
 
 
 def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
-    """A tree whose arrays agree in length, whose split features exist and
-    whose children follow their parent, so every walk from the root ends."""
+    """A tree whose arrays agree in length, whose split features exist, whose
+    children follow their parent (so every walk ends) and whose counts add up."""
     _require(t, _TREE_KEYS, where)
     tree = DecisionTree(
         feature=_int_array(t["feature"], where, "feature"),
@@ -144,37 +143,50 @@ def _load_tree(t: dict, n_features: int, where: str) -> DecisionTree:
     if ((tree.prob < 0.0) | (tree.prob > 1.0)).any():
         raise ModelFormatError(f"{where}: prob holds a number outside [0, 1]")
     split = np.flatnonzero(tree.feature >= 0)
+    left, right, count = tree.left[split], tree.right[split], tree.count
     if (tree.feature[split] >= n_features).any():
         raise ModelFormatError(f"{where}: split feature not below n_features={n_features}")
-    for child in (tree.left[split], tree.right[split]):
+    for child in (left, right):
         if ((child <= split) | (child >= n)).any():
             raise ModelFormatError(
                 f"{where}: a child index is out of range or not after its parent")
+    if (count < 0).any() or (count[split] != count[left] + count[right]).any():
+        raise ModelFormatError(f"{where}: a count is negative or not its children's sum")
     return tree
 
 
-def _n_features(payload: dict, where: str) -> int:
-    n_features = payload["n_features"]
-    if type(n_features) is not int or n_features < 1:  # json reads true as a bool
-        raise ModelFormatError(f"{where} n_features must be a positive integer, "
-                               f"not {n_features!r}")
-    return n_features
+def _setting(rule, value, what: str):
+    """``value`` through ``rule``, which must give it back as it is (as JSON):
+    a model file holds only the values ``train`` accepts for its settings."""
+    try:
+        if json.dumps(kept := rule(value)) == json.dumps(value):  # true is not 1, nor 5.0 5
+            return kept
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelFormatError(f"{what} must be a value train could write, not {value!r}")
+
+
+def _params(cls, raw, rules: dict, where: str):
+    """``cls`` from a file's params: one value for each of ``rules``."""
+    if not isinstance(raw, dict) or sorted(raw) != sorted(rules):
+        raise ModelFormatError(f"{where} params must hold exactly {', '.join(sorted(rules))}")
+    return cls(**{k: _setting(rule, raw[k], f"{where} params {k}") for k, rule in rules.items()})
 
 
 def _load_forest(payload: dict) -> Forest:
     _require(payload, ("n_features", "params", "trees"), "forest")
-    n_features = _n_features(payload, "forest")
+    n_features = _setting(at_least(1), payload["n_features"], "forest n_features")
     if not isinstance(payload["trees"], list) or not payload["trees"]:
         raise ModelFormatError("forest has no trees")
     trees = [_load_tree(t, n_features, f"tree {i}") for i, t in enumerate(payload["trees"])]
-    return Forest(trees=trees, params=ForestParams(**payload["params"]),
-                  n_features=n_features)
+    params = _params(ForestParams, payload["params"], FOREST_RULES, "forest")
+    return Forest(trees=trees, params=params, n_features=n_features)
 
 
 def _load_mlp(payload: dict) -> Mlp:
     """An MLP whose layer shapes chain from n_features to one output."""
     _require(payload, ("n_features", "params", "weights", "biases", "loss_history"), "mlp")
-    n_features = _n_features(payload, "mlp")
+    n_features = _setting(at_least(1), payload["n_features"], "mlp n_features")
     weights = [np.array(w, dtype=float) for w in payload["weights"]]
     biases = [np.array(b, dtype=float) for b in payload["biases"]]
     width = n_features
@@ -188,9 +200,8 @@ def _load_mlp(payload: dict) -> Mlp:
         width = w.shape[1]
     if width != 1:
         raise ModelFormatError(f"mlp output width is {width}, expected 1")
-    raw = dict(payload["params"])
-    raw["hidden"] = tuple(raw["hidden"])
-    return Mlp(weights=weights, biases=biases, params=MlpParams(**raw),
+    params = _params(MlpParams, payload["params"], MLP_RULES, "mlp")
+    return Mlp(weights=weights, biases=biases, params=params,
                n_features=n_features, loss_history=list(payload["loss_history"]))
 
 

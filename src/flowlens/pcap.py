@@ -34,6 +34,7 @@ LINKTYPE_ETHERNET = 1
 
 _MAGIC_MICROS = 0xA1B2C3D4
 _MAGIC_NANOS = 0xA1B23C4D
+_SNAPLEN = 65535  # declared by write_pcap; no frame it writes is longer
 
 
 class PcapFormatError(ValueError):
@@ -287,8 +288,8 @@ def build_frame(rec: PacketRecord,
     if not 20 <= ip_len <= 60 or ip_len & 3:
         raise ValueError(f"record implies an IPv4 header of {ip_len} bytes, "
                          "not a multiple of 4 from 20 to 60")
-    if total_len > 0xFFFF:
-        raise ValueError(f"IPv4 total length {total_len} exceeds 65535")
+    if total_len > _SNAPLEN - len(_ETHERNET):
+        raise ValueError(f"IPv4 total length {total_len} makes a frame past the snap length")
     if not 0 <= ttl <= 0xFF:
         raise ValueError(f"TTL {ttl} is outside 0..255")
     if protocol == PROTO_TCP:
@@ -337,7 +338,7 @@ def write_pcap(stream: BinaryIO, packets: Iterable[PacketRecord]):
     with the records before it written.
     """
     write = stream.write
-    write(struct.pack("<IHHiIII", _MAGIC_MICROS, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET))
+    write(struct.pack("<IHHiIII", _MAGIC_MICROS, 2, 4, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET))
     addresses: dict[str, tuple[bytes, int]] = {}  # each address seen in this call
     pack_head = _RECORD_HEAD.pack
     for rec in packets:

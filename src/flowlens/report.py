@@ -59,7 +59,7 @@ def write_report_csv(path: str | Path, report: EvaluationReport, meta: dict | No
 
 def read_report_csv(path: str | Path) -> EvaluationReport:
     """The per-fold rows of a report CSV; its closing ``mean`` row is skipped.
-    A wrong header, a ragged row or a bad cell is a :class:`SchemaError`."""
+    A wrong header, a ragged row, a bad cell or no fold row is a SchemaError."""
     with open_csv(path) as (header, _, reader):
         if header != _REPORT_HEADER:
             raise SchemaError(f"{path}: report header must be {_REPORT_HEADER}")
@@ -71,9 +71,10 @@ def read_report_csv(path: str | Path) -> EvaluationReport:
         if not fold.isdecimal():
             raise SchemaError(f"{path}: row {r}, column 'fold': {fold!r} is not a fold number")
         folds.append(FoldMetrics(int(fold), *values))
+    if not folds:
+        raise SchemaError(f"{path}: report holds no fold rows")
     # The identifying cells are those of the last row.
-    dataset, feature_set, model, seed, k = ([c[-1] for c in columns[:5]] if columns[0]
-                                            else ["", "", "", 0, 0])
+    dataset, feature_set, model, seed, k = [c[-1] for c in columns[:5]]
     return EvaluationReport(dataset_name=dataset, model_name=model, seed=seed, k=k,
                             folds=folds, feature_set=feature_set)
 

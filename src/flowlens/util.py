@@ -1,4 +1,5 @@
-"""Small shared helpers: value formatting, provenance metadata, hashing."""
+"""Small shared helpers: value formatting, provenance metadata, hashing, and
+the rules that hold settings to their type and range."""
 
 from __future__ import annotations
 
@@ -54,3 +55,40 @@ def parse_meta_line(line: str) -> dict:
             k, v = token.split("=", 1)
             meta[k] = v
     return meta
+
+
+def at_least(low: int):
+    """A cast to int that refuses values below ``low``."""
+    def cast(value) -> int:
+        number = int(value)
+        if number < low:
+            raise ValueError(f"must be at least {low}")
+        return number
+    return cast
+
+
+def finite_positive(value) -> float:
+    """A cast to float that refuses NaN, infinities and values not above 0."""
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise ValueError("must be a finite number above 0")
+    return number
+
+
+def feature_fraction(value) -> float | str:
+    if value == "sqrt":
+        return value
+    fraction = float(value)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError("must be 'sqrt' or a fraction in (0, 1]")
+    return fraction
+
+
+# The rule of each field of ``forest.ForestParams`` and ``mlp.MlpParams``: it
+# gives back a value as the field's type, or raises ValueError. The CLI casts
+# its settings through them and ``model_io`` checks a model file's params with
+# them; ``bool`` gives back only true and false as they are.
+FOREST_RULES = {"n_trees": at_least(1), "max_depth": at_least(1), "min_samples_split": at_least(2),
+                "feature_subsample": feature_fraction, "seed": at_least(0), "bootstrap": bool}
+MLP_RULES = {"hidden": lambda sizes: tuple(map(at_least(1), sizes)), "epochs": at_least(1),
+             "learning_rate": finite_positive, "batch_size": at_least(1), "seed": at_least(0)}

@@ -188,6 +188,14 @@ def test_report_without_inputs_exits_2(tmp_path):
     assert main(["report", "--out-dir", str(tmp_path)]) == 2
 
 
+def test_config_path_that_is_no_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["report", "--config", str(tmp_path), "--out-dir", str(out)]) == 2
+    assert f"config file not found: {tmp_path}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(pipeline, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("idle_timeout=15\nseed=11\n")
@@ -383,35 +391,41 @@ def _fill(argv, **paths):
     return [a.format(**paths) for a in argv]
 
 
+# Keyed by the number in each case's id, so that a case keeps its id when
+# another goes.
+BAD_SETTINGS = {
+    0: (["train", "--model", "rf", "--feature-fraction", "abc"], "feature_fraction"),
+    1: (["train", "--model", "mlp", "--hidden", "4,x"], "hidden"),
+    2: (["train", "--model", "rf", "--config", "{conf}"], "trees"),
+    3: (["train", "--model", "mlp", "--batch-size", "0"], "batch_size"),
+    4: (["train", "--model", "rf", "--trees", "0"], "trees"),
+    5: (["train", "--model", "rf", "--seed", "-1"], "seed"),
+    6: (["eval", "--model", "rf", "--folds", "1"], "folds"),
+    7: (["eval", "--model-file", "{model}", "--timing-rows", "0"], "timing_rows"),
+    8: (["explain", "--model-file", "{model}", "--samples", "0"], "samples"),
+    9: (["explain", "--model-file", "{model}", "--background", "0"], "background"),
+    10: (["explain", "--model-file", "{model}", "--budget", "abc"], "budget"),
+    11: (["train", "--model", "mlp", "--learning-rate", "nan"], "learning_rate"),
+    12: (["train", "--model", "mlp", "--epochs", "0"], "epochs"),
+    13: (["train", "--model", "rf", "--max-depth", "-1"], "max_depth"),
+    14: (["train", "--model", "rf", "--min-samples-split", "1"], "min_samples_split"),
+    15: (["synth", "--benign-http", "-3"], "benign_http"),
+    16: (["synth", "--benign-dns", "-1"], "benign_dns"),
+    17: (["synth", "--flood-flows", "-2"], "flood_flows"),
+    18: (["synth", "--dos-flows", "-1"], "dos_flows"),
+    19: (["extract", "--pcap", "{pcap}", "--schema", "netflow_v2", "--threads", "-3"], "threads"),
+    22: (["explain", "--model-file", "{model}", "--config", "{conf}"], "budget"),
+    23: (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
+         "budget"),
+    24: (["explain", "--model-file", "{mlp}", "--method", "tree"], "method"),
+    25: (["eval", "--model", "rf", "--folds", "1000"], "folds"),
+    26: (["eval", "--model", "rf", "--folds", "2", "--data", "{rare}"], "folds"),
+}
+
+
 @pytest.mark.parametrize("argv, setting", [
-    (["train", "--model", "rf", "--feature-fraction", "abc"], "feature_fraction"),
-    (["train", "--model", "mlp", "--hidden", "4,x"], "hidden"),
-    (["train", "--model", "rf", "--config", "{conf}"], "trees"),
-    (["train", "--model", "mlp", "--batch-size", "0"], "batch_size"),
-    (["train", "--model", "rf", "--trees", "0"], "trees"),
-    (["train", "--model", "rf", "--seed", "-1"], "seed"),
-    (["eval", "--model", "rf", "--folds", "1"], "folds"),
-    (["eval", "--model-file", "{model}", "--timing-rows", "0"], "timing_rows"),
-    (["explain", "--model-file", "{model}", "--samples", "0"], "samples"),
-    (["explain", "--model-file", "{model}", "--background", "0"], "background"),
-    (["explain", "--model-file", "{model}", "--budget", "abc"], "budget"),
-    (["train", "--model", "mlp", "--learning-rate", "nan"], "learning_rate"),
-    (["train", "--model", "mlp", "--epochs", "0"], "epochs"),
-    (["train", "--model", "rf", "--max-depth", "-1"], "max_depth"),
-    (["train", "--model", "rf", "--min-samples-split", "1"], "min_samples_split"),
-    (["synth", "--benign-http", "-3"], "benign_http"),
-    (["synth", "--benign-dns", "-1"], "benign_dns"),
-    (["synth", "--flood-flows", "-2"], "flood_flows"),
-    (["synth", "--dos-flows", "-1"], "dos_flows"),
-    (["extract", "--pcap", "{pcap}", "--schema", "netflow_v2", "--threads", "-3"], "threads"),
-    (["train", "--model", "rf", "--threads", "0"], "threads"),
-    (["eval", "--model", "rf", "--threads", "-1"], "threads"),
-    (["explain", "--model-file", "{model}", "--config", "{conf}"], "budget"),
-    (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
-     "budget"),
-    (["explain", "--model-file", "{mlp}", "--method", "tree"], "method"),
-    (["eval", "--model", "rf", "--folds", "1000"], "folds"),
-    (["eval", "--model", "rf", "--folds", "2", "--data", "{rare}"], "folds"),
+    pytest.param(argv, setting, id=f"argv{n}-{setting}")
+    for n, (argv, setting) in BAD_SETTINGS.items()
 ])
 def test_bad_setting_exits_2_naming_it(pipeline, tmp_path, capsys, argv, setting):
     conf = tmp_path / "run.conf"
@@ -445,6 +459,19 @@ def test_explain_has_no_exact_method(pipeline, tmp_path, capsys):
               "--out-dir", str(out)])
     assert done.value.code == 2
     assert "argument --method: invalid choice: 'exact'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "eval"])
+def test_model_stages_have_no_threads_flag(pipeline, tmp_path, capsys, stage):
+    """Forests grow one tree after another: train and eval take no --threads."""
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as done:
+        main([stage, "--data", str(pipeline["labeled"]["netflow_v2"]), "--model", "rf",
+              "--threads", "2", "--out" if stage == "train" else "--out-dir", str(out)])
+    assert done.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -489,17 +516,17 @@ def test_kernel_budget_below_minimum_exits_2_naming_it(pipeline, tmp_path, capsy
     assert main(command + ["--budget", str(minimum), "--out-dir", str(out)]) == 0
 
 
-# Provenance of valid settings, as recorded before values were range-checked:
-# checking a value must not change what config_hash covers.
+# Provenance of valid settings: checking a value must not change what
+# config_hash covers.
 @pytest.mark.parametrize("argv, digest", [
     (["train", "--model", "rf", "--trees", "3", "--feature-fraction", "0.5",
-      "--max-depth", "4", "--seed", "5", "--out", "{out}"], "2c0ed20b9c48adc6"),
-    (["train", "--model", "rf", "--config", "{conf}", "--out", "{out}"], "4182760087cecddf"),
+      "--max-depth", "4", "--seed", "5", "--out", "{out}"], "b041a83daa2219e0"),
+    (["train", "--model", "rf", "--config", "{conf}", "--out", "{out}"], "e0965c6bf5d85b75"),
     (["train", "--model", "mlp", "--hidden", "8,4", "--batch-size", "16", "--epochs", "2",
-      "--learning-rate", "0.1", "--seed", "5", "--out", "{out}"], "eb59f8d9b7272d0e"),
+      "--learning-rate", "0.1", "--seed", "5", "--out", "{out}"], "41e80f34d837dc22"),
     (["eval", "--model", "rf", "--trees", "2", "--folds", "2", "--timing-rows", "4",
-      "--timing-repeats", "1", "--seed", "5", "--out-dir", "{out}"], "a0f56b97ab1f3944"),
-])
+      "--timing-repeats", "1", "--seed", "5", "--out-dir", "{out}"], "f246cedd84ef29fb"),
+], ids=["train_rf", "train_rf_config", "train_mlp", "eval_rf"])
 def test_valid_settings_keep_their_config_hash(pipeline, tmp_path, argv, digest):
     conf = tmp_path / "run.conf"
     conf.write_text("trees=3\nfeature_fraction=0.5\nseed=5\n")
@@ -611,6 +638,12 @@ MALFORMED_TABLES = {
         p["features"]["netflow_v2"].read_text(), 3, 0, "\udcff"), ["not UTF-8"]),
     "features_header_not_utf8": ("--features", lambda p, t: _replace_cell(
         p["features"]["netflow_v2"].read_text(), 1, 0, "\udcff"), ["not UTF-8"]),
+    "report_header_only": ("--reports", lambda p, t: "".join(
+        _report_csv(p, t).splitlines(keepends=True)[:2]), ["no fold rows"]),
+    # line 2 is the one fold row of a saved model's report, line 3 its mean
+    "report_mean_only": ("--reports", lambda p, t: "".join(
+        line for i, line in enumerate(_report_csv(p, t).splitlines(keepends=True))
+        if i != 2), ["no fold rows"]),
 }
 
 
@@ -791,3 +824,125 @@ def test_mutated_labeled_csv_exits_0_or_2(pipeline, tmp_path_factory, start, cou
     argv = _fill(DATA_STAGES[stage], model=pipeline["model"], out=tmp / "out")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv + ["--data", str(path)]) in (0, 2)
+
+
+@pytest.fixture(scope="module")
+def tiny_models(pipeline):
+    """The documents of a 2-tree depth-2 forest and a one-epoch MLP with one
+    2-wide hidden layer, trained on the netflow table."""
+    docs = {}
+    for kind, flags in (("rf", ["--trees", "2", "--max-depth", "2"]),
+                        ("mlp", ["--hidden", "2", "--epochs", "1"])):
+        path = pipeline["root"] / f"tiny_{kind}.json"
+        assert main(["train", "--data", str(pipeline["labeled"]["netflow_v2"]), "--model", kind,
+                     "--out", str(path), "--seed", "11", *flags]) == 0
+        docs[kind] = json.loads(path.read_text(encoding="utf-8"))
+    return docs
+
+
+def _node_paths(node, path=()):
+    """The path to every member and item below ``node``, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+def _train_params(kind, params, tmp):
+    """The params ``train`` builds when given ``params`` as config-file
+    settings, or None when it refuses them."""
+    if kind == "rf":
+        names = {"n_trees": "trees", "max_depth": "max_depth",
+                 "min_samples_split": "min_samples_split",
+                 "feature_subsample": "feature_fraction", "seed": "seed"}
+    else:
+        names = {"hidden": "hidden", "learning_rate": "learning_rate", "epochs": "epochs",
+                 "batch_size": "batch_size", "seed": "seed"}
+    lines = []
+    for field, setting in names.items():
+        value = params.get(field)
+        if field == "hidden" and isinstance(value, list):
+            value = ",".join(map(str, value))
+        lines.append(f"{setting}={value}\n")
+    conf = tmp / "params.conf"
+    conf.write_text("".join(lines), encoding="utf-8")
+    from flowlens import cli
+    args = build_parser().parse_args(["train", "--data", "-", "--model", kind, "--out", "-",
+                                      "--config", str(conf)])
+    try:
+        given_settings = cli.Settings(args)
+        spec = cli._model_spec(given_settings, given_settings.seed())
+    except cli.CliError:
+        return None
+    return vars(spec.forest_params if kind == "rf" else spec.mlp_params)
+
+
+def _assert_closed(kind, doc, tmp):
+    """What a file eval or explain accept must hold beyond its structure: tree
+    counts that add up, and the params ``train`` makes of the same settings."""
+    payload = doc["forest" if kind == "rf" else "mlp"]
+    for tree in payload.get("trees", []):
+        count = tree["count"]
+        for i, feature in enumerate(tree["feature"]):
+            assert count[i] >= 0
+            if feature >= 0:
+                assert count[i] == count[tree["left"][i]] + count[tree["right"][i]]
+    params = dict(payload["params"])
+    if kind == "rf":
+        assert type(params.pop("bootstrap", None)) is bool  # no train setting
+    expected = _train_params(kind, params, tmp)
+    assert expected is not None, params
+    expected.pop("bootstrap", None)
+    assert json.dumps(params, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# Drawn replacements for one node: big and boundary numbers, bools, null,
+# strings and containers.
+NODE_VALUES = st.one_of(
+    st.sampled_from([2**63, -2**63 - 1, 10**30, 1e308, -1e308, True, False, None, "",
+                     "many", "5", 0, -1, 0.5, 5.0]),
+    st.integers(), st.floats(), st.text(max_size=3),
+    st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=2),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["rf", "mlp"]), node=st.integers(0, 2**16), value=NODE_VALUES)
+@example(kind="rf", node=("forest", "trees", 0, "count", 0), value=0)  # not its children's sum
+@example(kind="rf", node=("forest", "trees", 1, "count", -1), value=-1)
+@example(kind="rf", node=("forest", "params", "n_trees"), value="many")
+@example(kind="rf", node=("forest", "params", "seed"), value=True)
+@example(kind="rf", node=("forest", "params", "max_depth"), value=0)
+@example(kind="mlp", node=("mlp", "params", "hidden", 0), value=True)
+@example(kind="mlp", node=("mlp", "params", "seed"), value=0.5)
+@example(kind="mlp", node=("mlp", "params", "learning_rate"), value=-1e308)
+def test_mutated_model_file_exits_0_2_or_3(pipeline, tiny_models, tmp_path_factory, kind, node,
+                                           value):
+    """One node of a valid model file replaced (``node`` is a path, or an
+    index into all of them): eval and explain exit 0, 2 or 3, never 1, and a
+    file either accepts holds only counts and params a trained model has."""
+    doc = json.loads(json.dumps(tiny_models[kind]))
+    paths = list(_node_paths(doc))
+    *parents, last = node if isinstance(node, tuple) else paths[node % len(paths)]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    tmp = tmp_path_factory.mktemp("model")
+    model = tmp / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    data = str(pipeline["labeled"]["netflow_v2"])
+    codes = []
+    for argv in (["eval", "--timing-rows", "2", "--timing-repeats", "1"],
+                 ["explain", "--samples", "2", "--background", "2", "--budget", "64"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--data", data, "--model-file", str(model),
+                                "--out-dir", str(tmp / argv[0])])
+        assert code in (0, 2, 3), err.getvalue()
+        codes.append(code)
+    if 0 in codes:
+        _assert_closed(kind, doc, tmp)

@@ -96,14 +96,6 @@ def test_training_is_deterministic_and_duplication_stable(tmp_path):
     assert c == d
 
 
-def test_threaded_training_matches_serial(tmp_path):
-    X, y = _separable_toy(60, seed=4)
-    params = ForestParams(n_trees=6, max_depth=4, seed=2)
-    serial = _serialize(train_forest(X, y, params, threads=1), tmp_path, "s.json")
-    threaded = _serialize(train_forest(X, y, params, threads=4), tmp_path, "t.json")
-    assert serial == threaded
-
-
 def _constant_tree(prob):
     from flowlens.forest import DecisionTree
     return DecisionTree(
@@ -207,24 +199,20 @@ def _forest_digest(forest):
     return h.hexdigest()
 
 
-DEFAULTS_DIGEST = "fd086a5d7abb5318274106549d8659b8325daf100478139c7134cc1776029690"
-
-
-@pytest.mark.parametrize("params,threads,digest", [
-    (dict(), 1, DEFAULTS_DIGEST),
-    (dict(feature_subsample=1.0), 1,
+@pytest.mark.parametrize("params,digest", [
+    (dict(), "fd086a5d7abb5318274106549d8659b8325daf100478139c7134cc1776029690"),
+    (dict(feature_subsample=1.0),
      "63ff629eebab3f95d1803968769e4e82d94478dd6568a1216e17bccf5b57d70e"),
-    (dict(bootstrap=False), 1,
+    (dict(bootstrap=False),
      "356a9279b3e58beabab2abe977ea7baa184f77296ab6907c1f9a2df315d36bc3"),
-    (dict(max_depth=3, min_samples_split=10), 1,
+    (dict(max_depth=3, min_samples_split=10),
      "79a98acd309173e4c570168c353dca57be4281589a8a293524efe2a2c34d383c"),
-    (dict(), 2, DEFAULTS_DIGEST),
-], ids=["defaults", "all_features", "no_bootstrap", "shallow", "threads"])
-def test_forest_arrays_match_golden_digests(params, threads, digest):
+], ids=["defaults", "all_features", "no_bootstrap", "shallow"])
+def test_forest_arrays_match_golden_digests(params, digest):
     # Pins the six arrays of every tree, so any change to split search, tie
     # order or the rng stream shows up as a different digest.
     X, y = _tie_heavy_table()
-    forest = train_forest(X, y, ForestParams(n_trees=12, seed=5, **params), threads=threads)
+    forest = train_forest(X, y, ForestParams(n_trees=12, seed=5, **params))
     assert _forest_digest(forest) == digest
 
 

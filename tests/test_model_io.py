@@ -154,11 +154,37 @@ def _n_features_true(doc):
         doc["scaler"][key] = doc["scaler"][key][:1]
 
 
+def _negative_leaf_count(doc):
+    leaf = _tree(doc)["feature"].index(-1)
+    _tree(doc)["count"][leaf] = -1
+
+
+def _root_count_not_children_sum(doc):
+    _tree(doc)["count"][0] += 1
+
+
+def _n_trees_text(doc):
+    doc["forest"]["params"]["n_trees"] = "many"
+
+
+def _max_depth_float(doc):
+    doc["forest"]["params"]["max_depth"] = 3.0  # equal to 3 in Python
+
+
+def _bootstrap_number(doc):
+    doc["forest"]["params"]["bootstrap"] = 1
+
+
+def _params_without_seed(doc):
+    del doc["forest"]["params"]["seed"]
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_prob, _short_threshold, _child_to_root, _child_out_of_range,
     _feature_too_wide, _drop_trees, _scaler_too_narrow, _unknown_kind,
     _nan_leaf_prob, _infinite_threshold, _nan_scaler_max, _fractional_child, _bool_feature,
-    _n_features_true,
+    _n_features_true, _negative_leaf_count, _root_count_not_children_sum, _n_trees_text,
+    _max_depth_float, _bootstrap_number, _params_without_seed,
 ])
 def test_malformed_forest_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "rf")
@@ -206,9 +232,22 @@ def _n_features_float(doc):
     doc["mlp"]["n_features"] = float(doc["mlp"]["n_features"])  # equal to the weights' width
 
 
+def _hidden_size_zero(doc):
+    doc["mlp"]["params"]["hidden"][0] = 0
+
+
+def _seed_fraction(doc):
+    doc["mlp"]["params"]["seed"] = 0.5
+
+
+def _learning_rate_text(doc):
+    doc["mlp"]["params"]["learning_rate"] = "0.05"
+
+
 @pytest.mark.parametrize("corrupt", [
     _drop_biases, _weights_do_not_chain, _bias_too_short, _ragged_weights,
     _first_layer_too_wide, _two_outputs, _nan_weight, _infinite_bias, _n_features_float,
+    _hidden_size_zero, _seed_fraction, _learning_rate_text,
 ])
 def test_malformed_mlp_rejected(tmp_path, corrupt):
     path, doc = _saved_doc(tmp_path, "mlp")
@@ -242,13 +281,13 @@ def test_cyclic_tree_model_exits_2(tmp_path, capsys):
 
 
 FOREST_PARAMS = st.builds(
-    ForestParams, n_trees=st.integers(1, 3), max_depth=st.integers(0, 5),
+    ForestParams, n_trees=st.integers(1, 3), max_depth=st.integers(1, 5),
     min_samples_split=st.integers(2, 6),
     feature_subsample=st.one_of(st.just("sqrt"), st.floats(0.01, 1.0)),
     seed=st.integers(0, 2**32 - 1), bootstrap=st.booleans())
 MLP_PARAMS = st.builds(
     MlpParams, hidden=st.lists(st.integers(1, 5), max_size=3).map(tuple),
-    learning_rate=st.floats(1e-4, 0.1), epochs=st.integers(0, 3),
+    learning_rate=st.floats(1e-4, 0.1), epochs=st.integers(1, 3),
     batch_size=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 
 

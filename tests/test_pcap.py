@@ -384,6 +384,8 @@ def test_arbitrary_ipv4_headers_keep_decoder_invariants(protocol, ihl_words, tot
     tcp_packet(0, "10.0.0.1", 70_000, "10.0.0.2", 2),
     tcp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2, ttl=300),
     tcp_packet(-1, "10.0.0.1", 1, "10.0.0.2", 2),
+    # a 65,536-byte frame, longer than the snap length write_pcap declares
+    udp_packet(0, "10.0.0.1", 1, "10.0.0.2", 2, payload=65_494),
 ])
 def test_inconsistent_records_are_not_serialized(record):
     with pytest.raises(ValueError):
