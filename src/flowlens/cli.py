@@ -173,7 +173,9 @@ def cmd_extract(args) -> int:
     idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, finite_positive)
     active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, finite_positive)
     activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, finite_positive)
-    threads = st.get("threads", 1, at_least(1))
+    # Features are computed on one thread. The constant stays in the hashed
+    # settings so that every feature CSV keeps its config_hash.
+    st.effective["threads"] = 1
     st.effective["schema"] = args.schema
     schema = load_schema(args.schema)
 
@@ -182,17 +184,7 @@ def cmd_extract(args) -> int:
         stats = ParseStats()
         packets = parse_pcap(fh, stats)
     flows = assemble_flows(packets, idle_timeout=idle, active_timeout=active)
-
-    def build(flow):
-        return compute_features(flow, schema, activity_timeout=activity)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(build, flows))
-    else:
-        rows = [build(flow) for flow in flows]
+    rows = [compute_features(flow, schema, activity_timeout=activity) for flow in flows]
     meta = st.provenance()
     meta["schema"] = schema.name
     meta["schema_version"] = schema.version
@@ -455,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--active-timeout", type=float, help="flow active timeout, seconds (default 120)")
     p.add_argument("--activity-timeout", type=float,
                    help="gap that starts an idle period, seconds (default 5)")
-    p.add_argument("--threads", type=int, help="worker threads for feature computation")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("label", help="attach ground-truth labels to a feature CSV")

@@ -256,13 +256,25 @@ class MinMaxScaler:
             raise ValueError("cannot fit a scaler on an empty matrix")
         return cls(mins=rows.min(axis=0), maxs=rows.max(axis=0))
 
+    def _halved(self):
+        """Per column, the factor its values are scaled by before the min is
+        subtracted, the min so scaled, and the span. The factor is 0.5 where
+        ``maxs - mins`` overflows, which leaves the span finite; halving is
+        exact for normal floats. Elsewhere it is 1.0, which changes no bit."""
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            h = np.where(np.isinf(self.maxs - self.mins), 0.5, 1.0)
+        mins = self.mins * h
+        return h, mins, self.maxs * h - mins
+
     def transform(self, rows: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        span = self.maxs - self.mins
+        h, mins, span = self._halved()
         safe = np.where(span == 0, 1.0, span)
         with np.errstate(over="ignore"):  # a quotient past the float range clips to 1
-            out = (rows - self.mins) / safe
+            out = (rows * h - mins) / safe
         out = np.where(span == 0, 0.0, out)  # constant columns map to 0
         return np.clip(out, 0.0, 1.0)
 
@@ -270,12 +282,17 @@ class MinMaxScaler:
         """Single-sample path: plain Python beats array overhead at this width."""
         params = getattr(self, "_row_params", None)
         if params is None:
-            params = list(zip(self.mins.tolist(), (self.maxs - self.mins).tolist()))
+            h, mins, span = self._halved()
+            params = (list(zip(mins.tolist(), span.tolist())),
+                      h.tolist() if (h != 1.0).any() else None)
             self._row_params = params
-        if len(row) != len(params):
-            raise ValueError(f"expected {len(params)} values, got {len(row)}")
+        columns, h = params
+        if len(row) != len(columns):
+            raise ValueError(f"expected {len(columns)} values, got {len(row)}")
+        if h is not None:
+            row = [v * f for v, f in zip(row, h)]
         out = []
-        for v, (mn, span) in zip(row, params):
+        for v, (mn, span) in zip(row, columns):
             if span == 0.0:
                 out.append(0.0)
             else:

@@ -117,6 +117,13 @@ def mlp_gradient(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarra
     y = np.asarray(y, dtype=float)
     if X.shape[1] != mlp.n_features:
         raise ValueError(f"expected {mlp.n_features} features, got shape {X.shape}")
+    dWs, dbs, _ = _backprop(mlp, X, y)
+    return dWs, dbs
+
+
+def _backprop(mlp: Mlp, X: np.ndarray, y: np.ndarray):
+    """``mlp_gradient`` of float arrays of the right width, and the output
+    unit's pre-activation for each row, from the same forward pass."""
     n = len(X)
     zs, acts = mlp._forward(X)
     delta = (_sigmoid(zs[-1]) - y.reshape(-1, 1)) / n
@@ -127,7 +134,7 @@ def mlp_gradient(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarra
         dbs[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ mlp.weights[layer].T) * (zs[layer - 1] > 0)
-    return dWs, dbs
+    return dWs, dbs, zs[-1][:, 0]
 
 
 def train_mlp(
@@ -136,8 +143,11 @@ def train_mlp(
     params: MlpParams | None = None,
 ) -> Mlp:
     """Mini-batch gradient descent on cross-entropy; deterministic per seed.
+    ``loss_history`` holds each epoch's mean batch loss, each taken before
+    its batch's step.
 
-    Raises RuntimeError if the loss goes non-finite (diverging step size).
+    Raises RuntimeError if the loss or the weights go non-finite (diverging
+    step size).
     """
     if params is None:
         params = MlpParams()
@@ -150,23 +160,27 @@ def train_mlp(
 
     mlp = init_mlp(X.shape[1], params)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([params.seed, 1])))
+    y = y.astype(float)
     n = len(X)
+    diverged = (f"lower the learning rate "
+                f"(lr={params.learning_rate}, batch_size={params.batch_size})")
     for epoch in range(params.epochs):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         epoch_losses = []
         for start in range(0, n, params.batch_size):
-            batch = order[start : start + params.batch_size]
-            xb, yb = X[batch], y[batch]
-            dWs, dbs = mlp_gradient(mlp, xb, yb)
+            xb = X_epoch[start : start + params.batch_size]
+            yb = y_epoch[start : start + params.batch_size]
+            dWs, dbs, z = _backprop(mlp, xb, yb)
+            epoch_losses.append(_bce_from_logits(z, yb))
             for i in range(len(mlp.weights)):
                 mlp.weights[i] -= params.learning_rate * dWs[i]
                 mlp.biases[i] -= params.learning_rate * dbs[i]
-            epoch_losses.append(_bce_from_logits(mlp.logits(xb), yb.astype(float)))
         loss = float(np.mean(epoch_losses))
         if not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite loss at epoch {epoch}; lower the learning rate "
-                f"(lr={params.learning_rate}, batch_size={params.batch_size})"
-            )
+            raise RuntimeError(f"non-finite loss at epoch {epoch}; {diverged}")
         mlp.loss_history.append(loss)
+    # The losses are taken before each step: the last step is checked here.
+    if not all(np.isfinite(a).all() for a in (*mlp.weights, *mlp.biases)):
+        raise RuntimeError(f"non-finite weights after the last epoch; {diverged}")
     return mlp

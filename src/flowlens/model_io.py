@@ -200,9 +200,14 @@ def _load_mlp(payload: dict) -> Mlp:
         width = w.shape[1]
     if width != 1:
         raise ModelFormatError(f"mlp output width is {width}, expected 1")
+    losses = payload["loss_history"]
+    # json reads true as a bool, which numpy would take as 1.
+    if not isinstance(losses, list) or not set(map(type, losses)) <= {int, float}:
+        raise ModelFormatError("mlp loss_history must be a list of numbers")
+    _require_finite("mlp", loss_history=np.array(losses, dtype=float))
     params = _params(MlpParams, payload["params"], MLP_RULES, "mlp")
     return Mlp(weights=weights, biases=biases, params=params,
-               n_features=n_features, loss_history=list(payload["loss_history"]))
+               n_features=n_features, loss_history=losses)
 
 
 def load_model(path: str | Path) -> SavedModel:
@@ -239,9 +244,16 @@ def load_model(path: str | Path) -> SavedModel:
             if scaler.mins.shape != (model.n_features,) or scaler.maxs.shape != (model.n_features,):
                 raise ModelFormatError(f"scaler width differs from n_features={model.n_features}")
             _require_finite("scaler", mins=scaler.mins, maxs=scaler.maxs)
+        names = doc.get("feature_names")
+        if names is not None and (not isinstance(names, list) or len(names) != model.n_features
+                                  or not all(isinstance(n, str) for n in names)):
+            raise ModelFormatError(
+                f"feature_names must be null or a list of n_features={model.n_features} strings")
+        meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ModelFormatError("meta is not an object")
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # wrong types, ragged, past int64
         raise ModelFormatError(f"{path}: malformed model: {exc}") from exc
-    return SavedModel(model, scaler, doc.get("feature_names"), doc.get("meta", {}),
-                      fingerprint)
+    return SavedModel(model, scaler, names, meta, fingerprint)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import runpy
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from flowlens.cli import build_parser, main
 from flowlens.dataset import read_feature_csv, read_labeled_csv, read_labeled_matrix
+from flowlens.report import read_report_csv
 from flowlens.schema import SchemaError
 from flowlens.util import parse_meta_line
 from conftest import (pcap_global_header, pcap_record, raw_ethernet, raw_ipv4,
@@ -413,7 +415,6 @@ BAD_SETTINGS = {
     16: (["synth", "--benign-dns", "-1"], "benign_dns"),
     17: (["synth", "--flood-flows", "-2"], "flood_flows"),
     18: (["synth", "--dos-flows", "-1"], "dos_flows"),
-    19: (["extract", "--pcap", "{pcap}", "--schema", "netflow_v2", "--threads", "-3"], "threads"),
     22: (["explain", "--model-file", "{model}", "--config", "{conf}"], "budget"),
     23: (["explain", "--model-file", "{model}", "--method", "kernel", "--budget", "full"],
          "budget"),
@@ -462,17 +463,33 @@ def test_explain_has_no_exact_method(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stage", ["train", "eval"])
+@pytest.mark.parametrize("stage", ["train", "eval", "extract"])
 def test_model_stages_have_no_threads_flag(pipeline, tmp_path, capsys, stage):
-    """Forests grow one tree after another: train and eval take no --threads."""
+    """Forests grow one tree after another, and extract computes one flow's
+    features after another: none of them takes --threads."""
     out = tmp_path / "out"
+    if stage == "extract":
+        argv = [stage, "--pcap", str(pipeline["pcap"]), "--schema", "netflow_v2", "--out"]
+    else:
+        argv = [stage, "--data", str(pipeline["labeled"]["netflow_v2"]), "--model", "rf",
+                "--out" if stage == "train" else "--out-dir"]
     capsys.readouterr()
     with pytest.raises(SystemExit) as done:
-        main([stage, "--data", str(pipeline["labeled"]["netflow_v2"]), "--model", "rf",
-              "--threads", "2", "--out" if stage == "train" else "--out-dir", str(out)])
+        main(argv + [str(out), "--threads", "2"])
     assert done.value.code == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_extract_ignores_a_threads_config_entry(pipeline, tmp_path):
+    """A config file's threads entry is ignored like any key no setting reads:
+    the feature CSV keeps its bytes, config_hash included."""
+    conf = tmp_path / "run.conf"
+    conf.write_text("threads=4\n")
+    out = tmp_path / "features.csv"
+    assert main(["extract", "--pcap", str(pipeline["pcap"]), "--schema", "netflow_v2",
+                 "--out", str(out), "--seed", "11", "--config", str(conf)]) == 0
+    assert out.read_bytes() == pipeline["features"]["netflow_v2"].read_bytes()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -715,6 +732,7 @@ def _n_features_float(doc):
 def _n_features_40(doc):
     # a file that agrees with itself, one column wider than the data
     doc["forest"]["n_features"] = 40
+    doc["feature_names"].append("EXTRA")
     for key in ("mins", "maxs"):
         doc["scaler"][key].append(0.0)
 
@@ -826,6 +844,64 @@ def test_mutated_labeled_csv_exits_0_or_2(pipeline, tmp_path_factory, start, cou
         assert main(argv + ["--data", str(path)]) in (0, 2)
 
 
+# Extreme finite numbers: the ends of the float range, the smallest
+# subnormals, the first integer a float cannot hold, and values near 1e15.
+EXTREME_VALUES = st.one_of(
+    st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324,
+                     2**53 + 1]),
+    st.floats(9e14, 1.1e15),
+    st.floats(-1.1e15, -9e14),
+)
+
+
+@settings(max_examples=10)
+@given(col=st.integers(6, 44),
+       cells=st.lists(st.tuples(st.integers(0, 43), EXTREME_VALUES), min_size=2, max_size=4,
+                      unique_by=lambda cell: cell[0]))
+# Column 8 is IN_BYTES: max - min of these two overflows.
+@example(col=8, cells=[(0, -1e308), (1, 1e308)])
+@example(col=8, cells=[(0, 1.7976931348623157e308), (5, -1.7976931348623157e308),
+                       (9, 5e-324)])
+@example(col=9, cells=[(0, 2**53 + 1), (1, -5e-324), (2, 1e15)])
+def test_extreme_column_values_exit_0_or_2_with_finite_outputs(pipeline, tmp_path_factory,
+                                                                col, cells):
+    """Cells of one learnable column set to extreme finite numbers: train (rf
+    and mlp), eval of the saved model and explain exit 0 or 2, never 1, and
+    every metric, phi, base value and prediction they write is finite, with
+    the phi adding up to the prediction."""
+    lines = pipeline["labeled"]["netflow_v2"].read_text().split("\n")
+    body = lines[2:-1]
+    for row, value in cells:
+        row_cells = body[row % len(body)].split(",")
+        row_cells[col] = repr(value)
+        body[row % len(body)] = ",".join(row_cells)
+    tmp = tmp_path_factory.mktemp("extreme")
+    data = tmp / "table.csv"
+    data.write_text("\n".join(lines[:2] + body + [""]), encoding="utf-8")
+    for kind, flags in (("rf", ["--trees", "3"]), ("mlp", ["--hidden", "4", "--epochs", "2"])):
+        model = tmp / f"{kind}.json"
+        for argv in (["train", "--model", kind, *flags, "--out", str(model)],
+                     ["eval", "--model-file", str(model), "--timing-rows", "2",
+                      "--timing-repeats", "1", "--out-dir", str(tmp / "eval")],
+                     ["explain", "--model-file", str(model), "--samples", "3",
+                      "--background", "3", "--budget", "64", "--out-dir", str(tmp / "explain")]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv + ["--data", str(data)])
+            assert code in (0, 2), err.getvalue()
+            if code:
+                break
+    for path in (tmp / "eval").glob("*_report.csv"):
+        for fold in read_report_csv(path).folds:
+            assert all(math.isfinite(v) for v in vars(fold).values()), fold
+    for path in (tmp / "explain").glob("*_explanations.jsonl"):
+        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+            row = json.loads(line)
+            numbers = [*row["phi"], row["base"], row["prediction"]]
+            assert all(map(math.isfinite, numbers)), row
+            assert abs(math.fsum(row["phi"]) + row["base"] - row["prediction"]) <= 1e-6
+
+
 @pytest.fixture(scope="module")
 def tiny_models(pipeline):
     """The documents of a 2-tree depth-2 forest and a one-epoch MLP with one
@@ -880,8 +956,15 @@ def _train_params(kind, params, tmp):
 
 def _assert_closed(kind, doc, tmp):
     """What a file eval or explain accept must hold beyond its structure: tree
-    counts that add up, and the params ``train`` makes of the same settings."""
+    counts that add up, the params ``train`` makes of the same settings, a
+    name for each feature or none, a meta object and finite losses."""
     payload = doc["forest" if kind == "rf" else "mlp"]
+    names = doc.get("feature_names")
+    assert names is None or (isinstance(names, list) and len(names) == payload["n_features"]
+                             and all(isinstance(name, str) for name in names))
+    assert isinstance(doc.get("meta", {}), dict)
+    for loss in payload.get("loss_history", []):
+        assert type(loss) in (int, float) and math.isfinite(loss)
     for tree in payload.get("trees", []):
         count = tree["count"]
         for i, feature in enumerate(tree["feature"]):
@@ -919,6 +1002,11 @@ NODE_VALUES = st.one_of(
 @example(kind="mlp", node=("mlp", "params", "hidden", 0), value=True)
 @example(kind="mlp", node=("mlp", "params", "seed"), value=0.5)
 @example(kind="mlp", node=("mlp", "params", "learning_rate"), value=-1e308)
+@example(kind="rf", node=("feature_names", 0), value=5)
+@example(kind="mlp", node=("feature_names",), value=["PROTOCOL"])
+@example(kind="rf", node=("meta",), value=[])
+@example(kind="mlp", node=("mlp", "loss_history", 0), value=float("nan"))
+@example(kind="mlp", node=("mlp", "loss_history"), value=True)
 def test_mutated_model_file_exits_0_2_or_3(pipeline, tiny_models, tmp_path_factory, kind, node,
                                            value):
     """One node of a valid model file replaced (``node`` is a path, or an

@@ -201,6 +201,19 @@ def test_minmax_row_path_agrees_with_batch():
         assert np.allclose(scaler.transform_row(rows[i].tolist()), batch[i])
 
 
+def test_minmax_column_wider_than_the_float_range():
+    """max - min of the first column overflows: it is scaled in halves, and
+    the other column's quotients are those of the plain formula, bit for bit."""
+    big = np.finfo(float).max
+    scaler = MinMaxScaler.fit(np.array([[-big, 0.0], [big, 3.0]]))
+    rows = np.array([[-big, 0.0], [0.0, 1.0], [big, 3.0], [5e-324, 7.0]])
+    out = scaler.transform(rows)
+    assert out[:, 0].tolist() == [0.0, 0.5, 1.0, 0.5]
+    assert out[:, 1].tobytes() == np.clip(rows[:, 1] / 3.0, 0.0, 1.0).tobytes()
+    for row, expected in zip(rows, out):
+        assert scaler.transform_row(row.tolist()) == expected.tolist()
+
+
 def test_scaler_fit_on_train_only_detects_leakage():
     train = np.array([[0.0], [5.0]])
     test = np.array([[9.0]])

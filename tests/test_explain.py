@@ -509,6 +509,33 @@ def test_wide_forest_matches_loop_reference():
         assert tree.additivity_gap() <= 1e-9
 
 
+@pytest.mark.parametrize("p", [39, 77])
+def test_tree_matches_exact_at_the_paper_widths(p):
+    """At the netflow and cic widths. A feature no tree splits on is a dummy
+    player: its phi is 0, and holding it at x leaves the game on the other
+    features unchanged. So exact enumeration over the features the forest
+    splits on gives the phi at full width."""
+    rng = np.random.Generator(np.random.PCG64(p))
+    X = rng.random((200, p))
+    y = (X[:, :5].sum(axis=1) > 2.5).astype(int)
+    forest = train_forest(X, y, ForestParams(n_trees=2, max_depth=3, seed=p))
+    used = np.unique(np.concatenate([t.feature[t.feature >= 0] for t in forest.trees]))
+    unused = np.setdiff1d(np.arange(p), used)
+    assert 2 <= len(used) <= 12
+    B = rng.random((6, p))
+    for x in rng.random((2, p)):
+        def predict(Z, x=x):
+            rows = np.tile(x, (len(Z), 1))
+            rows[:, used] = Z
+            return forest.predict_proba(rows)
+
+        exact = exact_shapley(CoalitionValueFunction(predict, x[used], B[:, used]))
+        tree = tree_shap(forest, x, B)
+        assert np.max(np.abs(tree.phi[used] - exact.phi)) <= 1e-9
+        assert np.all(tree.phi[unused] == 0.0)
+        assert tree.additivity_gap() <= 1e-9
+
+
 def test_shared_plan_gives_same_phi():
     forest, _, B = random_forest_instance(RNG, p=6, n_trees=5, depth=4, nb=7)
     plan = compile_tree_shap(forest, B)

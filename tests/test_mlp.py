@@ -1,6 +1,8 @@
 """Feed-forward net: gradient correctness against central finite differences,
 realizability on the classic toy sets, and the documented edge behaviours."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,44 @@ def test_training_deterministic():
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
     assert a.loss_history == b.loss_history
+
+
+def test_trained_weights_are_pinned():
+    """Training arithmetic is fixed: the sha256 of the weights and biases on a
+    table whose last batch is short (101 rows, batches of 16)."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    X = rng.random((101, 6))
+    y = (X[:, 0] + 0.5 * X[:, 3] > 0.8).astype(int)
+    mlp = train_mlp(X, y, MlpParams(hidden=(8, 4), learning_rate=0.2, epochs=7,
+                                    batch_size=16, seed=5))
+    digest = hashlib.sha256()
+    for a in (*mlp.weights, *mlp.biases):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "352377d6d50e99dd59187aa712fcf46383817abcb3602d79be9e6c38c5ed0261")
+
+
+def test_loss_history_is_taken_before_each_step():
+    """With one batch per epoch, an epoch's loss is the loss of the weights
+    the epoch started from."""
+    rng = np.random.Generator(np.random.PCG64(3))
+    X = rng.random((40, 3))
+    y = (X[:, 1] > 0.5).astype(int)
+    params = MlpParams(hidden=(5,), learning_rate=0.5, epochs=3, batch_size=40, seed=4)
+    start = init_mlp(3, params)
+    one = train_mlp(X, y, MlpParams(**{**vars(params), "epochs": 1}))
+    mlp = train_mlp(X, y, params)
+    assert mlp.loss_history[0] == pytest.approx(start.loss(X, y), rel=1e-12)
+    assert mlp.loss_history[1] == pytest.approx(one.loss(X, y), rel=1e-12)
+
+
+def test_diverging_last_step_aborts():
+    """A step that leaves the weights non-finite is refused even when it is
+    the last, whose loss no batch records."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="non-finite weights"):
+        train_mlp(AND_X * 1e3, AND_Y, MlpParams(hidden=(4,), learning_rate=1e308, epochs=1,
+                                                batch_size=4, seed=0))
 
 
 def test_loss_trend_decreases_on_smoothed_window():
