@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import os
 import sys
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 
@@ -43,6 +44,7 @@ _LAZY = {
     "crossval_evaluate": (".evaluation", "crossval_evaluate"),
     "evaluate_split": (".evaluation", "evaluate_split"),
     "ForestParams": (".forest", "ForestParams"),
+    "DivergenceError": (".mlp", "DivergenceError"),
     "MlpParams": (".mlp", "MlpParams"),
     "load_model": (".model_io", "load_model"),
     "save_model": (".model_io", "save_model"),
@@ -184,7 +186,9 @@ def cmd_extract(args) -> int:
         stats = ParseStats()
         packets = parse_pcap(fh, stats)
     flows = assemble_flows(packets, idle_timeout=idle, active_timeout=active)
-    rows = [compute_features(flow, schema, activity_timeout=activity) for flow in flows]
+    # Rows reach the writer as they are computed, so only one block of them
+    # is alive at a time, never the whole feature table.
+    rows = (compute_features(flow, schema, activity_timeout=activity) for flow in flows)
     meta = st.provenance()
     meta["schema"] = schema.name
     meta["schema_version"] = schema.version
@@ -243,6 +247,16 @@ def _model_spec(st: Settings, seed: int) -> ModelSpec:
     return _cli.ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
 
 
+@contextmanager
+def _learning_rate_blamed(st: Settings):
+    """An MLP fit that diverges is an input error in the ``learning_rate``
+    setting: the data are finite and scaled, so the step size is the cause."""
+    try:
+        yield
+    except _cli.DivergenceError as exc:
+        raise CliError(f"setting learning_rate={st.effective['learning_rate']}: {exc}") from exc
+
+
 def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
@@ -251,7 +265,8 @@ def cmd_train(args) -> int:
 
     X_raw = labeled.X()
     scaler = ds_mod.MinMaxScaler.fit(X_raw)
-    model = spec.train(scaler.transform(X_raw), labeled.y())
+    with _learning_rate_blamed(st):
+        model = spec.train(scaler.transform(X_raw), labeled.y())
     _cli.save_model(args.out, model, scaler=scaler,
                     feature_names=labeled.schema.learnable_names, meta=st.provenance(),
                     schema_fingerprint=labeled.schema.fingerprint())
@@ -314,11 +329,12 @@ def cmd_eval(args) -> int:
             raise CliError(f"setting folds={k}: must be at most {rare}, "
                            f"the rows of the rarer class in {args.data}")
         spec = _model_spec(st, seed)
-        report = _cli.crossval_evaluate(
-            labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
-            timing_rows=timing_rows, timing_repeats=timing_repeats,
-            feature_set=labeled.schema.name,
-        )
+        with _learning_rate_blamed(st):
+            report = _cli.crossval_evaluate(
+                labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
+                timing_rows=timing_rows, timing_repeats=timing_repeats,
+                feature_set=labeled.schema.name,
+            )
         stem = f"{dataset_name}_{spec.kind}"
     _write_report_files(_out_dir(args.out_dir), stem, report, st.provenance())
     means = report.means()

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import LabeledDataset, LabeledMatrix, MinMaxScaler
 from .forest import Forest, ForestParams, train_forest
-from .mlp import Mlp, MlpParams, train_mlp
+from .mlp import DivergenceError, Mlp, MlpParams, train_mlp
 from . import dataset as _dataset
 
 THRESHOLD = 0.5
@@ -74,8 +74,12 @@ def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> float:
         raise ValueError("AUC needs both classes present")
     # A run of c tied scores ending at 1-based sorted position e shares the
     # average rank e - (c - 1) / 2, a half-integer and so exact in a float.
-    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+    order = np.argsort(s)
+    ordered = s[order]
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True)) + 1
+    counts = np.diff(ends, prepend=0)
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(ends - (counts - 1) / 2.0, counts)
     rank_sum_pos = float(ranks[y == 1].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -205,6 +209,8 @@ def crossval_evaluate(
         scaler = MinMaxScaler.fit(X[train_idx])
         try:
             model = spec.train(scaler.transform(X[train_idx]), y[train_idx])
+        except DivergenceError as exc:
+            raise DivergenceError(f"fold {fold}: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"training failed on fold {fold}: {exc}") from exc
         folds.append(

@@ -64,7 +64,7 @@ def compute_netflow_features(flow: FlowRecord, schema: FeatureSchema) -> list:
     key = flow.key
     fwd = flow.fwd_packets
     bwd = flow.bwd_packets
-    everything = [p for _, p in flow.packets]
+    everything = flow.packets
     duration_us = flow.last_ts - flow.first_ts
 
     in_bytes = sum(p.ip_total_len for p in fwd)
@@ -231,7 +231,7 @@ def compute_cic_features(
     key = flow.key
     fwd = flow.fwd_packets
     bwd = flow.bwd_packets
-    ordered = [p for _, p in flow.packets]
+    ordered = flow.packets
     duration_us = flow.last_ts - flow.first_ts
 
     fwd_payloads = [p.payload_len for p in fwd]
@@ -253,7 +253,7 @@ def compute_cic_features(
         return sum(1 for p in pkts if p.tcp_flags & bit)
 
     fwd_bulk, bwd_bulk = _BulkTracker(), _BulkTracker()
-    for is_fwd, p in flow.packets:
+    for is_fwd, p in zip(flow.forward, ordered):
         if is_fwd:
             fwd_bulk.update(p.ts_micros, p.payload_len, bwd_bulk.last_ts)
         else:

@@ -10,6 +10,7 @@ their first timestamps, whatever order they expire in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable
 
 from .pcap import FIN, PROTO_TCP, RST, PacketRecord
@@ -39,26 +40,31 @@ class FlowKey:
 
 @dataclass
 class FlowRecord:
+    """One bidirectional flow.
+
+    ``key`` names endpoint A (the source of the first packet) and endpoint B.
+    ``first_ts`` and ``last_ts`` are the timestamps, in microseconds, of its
+    first and last packet. ``packets`` holds its packets in time order, and
+    ``forward[i]`` is 1 when ``packets[i]`` travels from A to B, else 0, a
+    byte per packet so that a flow costs little beyond its packets.
+    ``expiry_reason`` says why the flow ended: an idle gap, the active
+    lifetime, FIN/RST, or the end of capture.
+    """
+
     key: FlowKey
     first_ts: int
     last_ts: int
-    # (is_forward, packet) in time order; fwd/bwd views derive from this.
-    packets: list[tuple[bool, PacketRecord]] = field(default_factory=list)
+    packets: list[PacketRecord] = field(default_factory=list)
+    forward: bytearray = field(default_factory=bytearray)
     expiry_reason: str = END_OF_CAPTURE
 
     @property
     def fwd_packets(self) -> list[PacketRecord]:
-        return [p for fwd, p in self.packets if fwd]
+        return list(compress(self.packets, self.forward))
 
     @property
     def bwd_packets(self) -> list[PacketRecord]:
-        return [p for fwd, p in self.packets if not fwd]
-
-    def packet_count(self) -> int:
-        return len(self.packets)
-
-    def total_ip_bytes(self) -> int:
-        return sum(p.ip_total_len for _, p in self.packets)
+        return [p for p, fwd in zip(self.packets, self.forward) if not fwd]
 
 
 def _undirected(pkt: PacketRecord) -> tuple:
@@ -76,7 +82,8 @@ class _FlowState:
 
     def add(self, pkt: PacketRecord):
         forward = (pkt.src_ip, pkt.src_port) == (self.record.key.ip_a, self.record.key.port_a)
-        self.record.packets.append((forward, pkt))
+        self.record.packets.append(pkt)
+        self.record.forward.append(forward)
         self.record.last_ts = pkt.ts_micros
         if pkt.protocol == PROTO_TCP:
             if pkt.tcp_flags & RST:

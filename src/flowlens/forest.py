@@ -225,7 +225,7 @@ def train_forest(
         raise ValueError("X and y length mismatch")
     if not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
-    if len(np.unique(y)) < 2:
+    if not len(y) or y.min() == y.max():
         raise ValueError("training data has a single class; cannot fit a discriminator")
 
     trees = [_grow_tree(X, y, params, i) for i in range(params.n_trees)]

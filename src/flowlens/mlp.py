@@ -137,6 +137,11 @@ def _backprop(mlp: Mlp, X: np.ndarray, y: np.ndarray):
     return dWs, dbs, zs[-1][:, 0]
 
 
+class DivergenceError(RuntimeError):
+    """The loss or the weights went non-finite; on finite inputs, the step
+    size is too large."""
+
+
 def train_mlp(
     X: np.ndarray,
     y: np.ndarray,
@@ -146,8 +151,8 @@ def train_mlp(
     ``loss_history`` holds each epoch's mean batch loss, each taken before
     its batch's step.
 
-    Raises RuntimeError if the loss or the weights go non-finite (diverging
-    step size).
+    Raises DivergenceError if the loss or the weights go non-finite
+    (diverging step size).
     """
     if params is None:
         params = MlpParams()
@@ -155,7 +160,7 @@ def train_mlp(
     y = np.asarray(y, dtype=int)
     if len(X) != len(y):
         raise ValueError("X and y length mismatch")
-    if len(np.unique(y)) < 2:
+    if not len(y) or y.min() == y.max():
         raise ValueError("training data has a single class; cannot fit a discriminator")
 
     mlp = init_mlp(X.shape[1], params)
@@ -164,23 +169,28 @@ def train_mlp(
     n = len(X)
     diverged = (f"lower the learning rate "
                 f"(lr={params.learning_rate}, batch_size={params.batch_size})")
-    for epoch in range(params.epochs):
-        order = rng.permutation(n)
-        X_epoch, y_epoch = X[order], y[order]
-        epoch_losses = []
-        for start in range(0, n, params.batch_size):
-            xb = X_epoch[start : start + params.batch_size]
-            yb = y_epoch[start : start + params.batch_size]
-            dWs, dbs, z = _backprop(mlp, xb, yb)
-            epoch_losses.append(_bce_from_logits(z, yb))
-            for i in range(len(mlp.weights)):
-                mlp.weights[i] -= params.learning_rate * dWs[i]
-                mlp.biases[i] -= params.learning_rate * dbs[i]
-        loss = float(np.mean(epoch_losses))
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss at epoch {epoch}; {diverged}")
-        mlp.loss_history.append(loss)
+    # A diverging step overflows on its way to the non-finite loss or weights
+    # checked below, which report it; numpy's own warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(params.epochs):
+            order = rng.permutation(n)
+            X_epoch, y_epoch = X[order], y[order]
+            epoch_losses = []
+            for start in range(0, n, params.batch_size):
+                xb = X_epoch[start : start + params.batch_size]
+                yb = y_epoch[start : start + params.batch_size]
+                dWs, dbs, z = _backprop(mlp, xb, yb)
+                epoch_losses.append(_bce_from_logits(z, yb))
+                for i in range(len(mlp.weights)):
+                    mlp.weights[i] -= params.learning_rate * dWs[i]
+                    mlp.biases[i] -= params.learning_rate * dbs[i]
+            loss = float(np.mean(epoch_losses))
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"training diverged: non-finite loss at epoch {epoch}; {diverged}")
+            mlp.loss_history.append(loss)
     # The losses are taken before each step: the last step is checked here.
     if not all(np.isfinite(a).all() for a in (*mlp.weights, *mlp.biases)):
-        raise RuntimeError(f"non-finite weights after the last epoch; {diverged}")
+        raise DivergenceError(
+            f"training diverged: non-finite weights after the last epoch; {diverged}")
     return mlp

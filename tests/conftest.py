@@ -107,7 +107,8 @@ def make_flow(fwd_specs, bwd_specs=(), protocol=6, key=None) -> FlowRecord:
         key=key,
         first_ts=tagged[0][1].ts_micros,
         last_ts=max(p.ts_micros for _, p in tagged),
-        packets=tagged,
+        packets=[p for _, p in tagged],
+        forward=bytearray(forward for forward, _ in tagged),
     )
 
 

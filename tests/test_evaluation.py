@@ -3,6 +3,8 @@ behaviour, and the cross-validated harness."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from flowlens.dataset import FeatureTable, LabeledDataset
 from flowlens.evaluation import (ConfusionMatrix, ModelSpec, binary_metrics,
@@ -117,6 +119,27 @@ def test_auc_is_bitwise_equal_to_loop_reference_with_heavy_ties():
             labels[0] = 1 - labels[0]
         scores = rng.integers(0, int(rng.integers(1, 12)), n) / 7.0
         assert roc_auc(labels, scores) == loop_rank_auc(labels, scores)
+
+
+def unique_rank_auc(labels, scores):
+    """Reference: the tie ranks from ``np.unique``'s run counts."""
+    y = np.asarray(labels, dtype=int)
+    s = np.asarray(scores, dtype=float)
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+    n_pos, n_neg = int((y == 1).sum()), int((y == 0).sum())
+    return (float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# A few distinct values, signed zeros among them, so that most scores tie.
+TIED_SCORES = st.sampled_from([-0.0, 0.0, 5e-324, 1e-9, 0.1, 1 / 3, 0.5, 0.9999, 1.0, 7.5e300])
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 1), TIED_SCORES), min_size=2, max_size=300)
+       .filter(lambda rows: len({label for label, _ in rows}) == 2))
+def test_auc_is_bitwise_equal_to_unique_rank_reference_on_tied_scores(rows):
+    labels, scores = zip(*rows)
+    assert roc_auc(labels, scores) == unique_rank_auc(labels, scores)
 
 
 def test_auc_negation_flips_in_tie_free_instances():

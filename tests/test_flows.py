@@ -50,8 +50,8 @@ def test_active_timeout_splits_long_flow():
     assert len(flows) == 2
     assert flows[0].expiry_reason == ACTIVE_TIMEOUT
     # split happens at the first packet past 120 s from the flow start
-    assert flows[0].packet_count() == 13
-    assert flows[1].packet_count() == 1
+    assert len(flows[0].packets) == 13
+    assert len(flows[1].packets) == 1
 
 
 def test_fin_both_directions_closes_then_new_flow():
@@ -64,8 +64,8 @@ def test_fin_both_directions_closes_then_new_flow():
     flows = assemble_flows(pkts)
     assert len(flows) == 2
     assert flows[0].expiry_reason == FIN_RST
-    assert flows[0].packet_count() == 3
-    assert flows[1].packet_count() == 1
+    assert len(flows[0].packets) == 3
+    assert len(flows[1].packets) == 1
 
 
 def test_rst_closes_flow():
@@ -91,13 +91,13 @@ def test_unordered_input_is_sorted_stably():
 
 def test_direction_partition_and_assignment(simple_tcp_stream):
     flows = assemble_flows(simple_tcp_stream)
-    total = sum(f.packet_count() for f in flows)
+    total = sum(len(f.packets) for f in flows)
     assert total == len(simple_tcp_stream)
     for f in flows:
-        assert len(f.fwd_packets) + len(f.bwd_packets) == f.packet_count()
+        assert len(f.fwd_packets) + len(f.bwd_packets) == len(f.packets)
         assert f.fwd_packets, "a flow starts with its first forward packet"
         assert f.first_ts <= f.last_ts
-        for _, p in f.packets:
+        for p in f.packets:
             assert f.first_ts <= p.ts_micros <= f.last_ts
 
 
@@ -112,8 +112,9 @@ def test_random_streams_every_packet_assigned_once():
         pkts.append(udp_packet(t, a, int(rng.integers(1, 5)), b, int(rng.integers(1, 5)),
                                payload=int(rng.integers(0, 100))))
     flows = assemble_flows(pkts, idle_timeout=4)
-    assert sum(f.packet_count() for f in flows) == len(pkts)
-    assert sum(f.total_ip_bytes() for f in flows) == sum(p.ip_total_len for p in pkts)
+    assert sum(len(f.packets) for f in flows) == len(pkts)
+    assert (sum(p.ip_total_len for f in flows for p in f.packets)
+            == sum(p.ip_total_len for p in pkts))
     starts = [f.first_ts for f in flows]
     assert starts == sorted(starts)
 
@@ -141,17 +142,22 @@ def test_assembly_invariants(stream, idle, active, data):
     flows = assemble_flows(stream, idle_timeout=idle, active_timeout=active)
 
     # Every packet lands in exactly one flow, as the record itself.
-    assert sorted(id(p) for f in flows for _, p in f.packets) == sorted(map(id, stream))
+    assert sorted(id(p) for f in flows for p in f.packets) == sorted(map(id, stream))
+
+    # One direction byte per packet: forward iff it leaves endpoint A.
+    for f in flows:
+        assert list(f.forward) == [int((p.src_ip, p.src_port) == (f.key.ip_a, f.key.port_a))
+                                   for p in f.packets]
 
     # Ordered by (first_ts, open order): a flow opens at its first packet of
     # the stably time-sorted stream.
     position = {id(p): i for i, p in enumerate(sorted(stream, key=lambda p: p.ts_micros))}
-    opened = [position[id(f.packets[0][1])] for f in flows]
+    opened = [position[id(f.packets[0])] for f in flows]
     assert opened == sorted(opened)
 
     idle_us, active_us = int(idle * 1_000_000), int(active * 1_000_000)
     for f in flows:
-        times = [p.ts_micros for _, p in f.packets]
+        times = [p.ts_micros for p in f.packets]
         assert (f.first_ts, f.last_ts) == (times[0], times[-1])
         assert all(0 <= b - a <= idle_us for a, b in zip(times, times[1:]))
         assert f.last_ts - f.first_ts <= active_us
@@ -166,7 +172,7 @@ def _closing_index(flow):
     """Index of the packet that closes a TCP flow: an RST, or the FIN that
     completes FINs in both directions. None if no packet closes it."""
     fin_directions = set()
-    for i, (forward, p) in enumerate(flow.packets):
+    for i, (forward, p) in enumerate(zip(flow.forward, flow.packets)):
         if p.protocol != 6:
             return None
         if p.tcp_flags & RST:
@@ -198,7 +204,7 @@ def test_expiry_reason_matches_packets(stream, idle, active):
         last = len(f.packets) - 1
         assert _closing_index(f) == (last if f.expiry_reason == FIN_RST else None)
 
-        after = ordered[position[id(f.packets[last][1])] + 1:]
+        after = ordered[position[id(f.packets[last])] + 1:]
         following = next((p for p in after if _same_key(p, f.key)), None)
         if f.expiry_reason == END_OF_CAPTURE:
             assert following is None

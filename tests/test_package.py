@@ -24,19 +24,53 @@ codes = [main(["extract", "--pcap", pcap, "--schema", "cic", "--out", features])
 print(codes, "numpy" in sys.modules)
 """
 
+# Trains and evaluates both models in a fresh interpreter, then reports
+# whether numpy.ma, which costs about 10 ms to import, was ever imported.
+MODELS = """
+import sys
+from flowlens.cli import main
+labeled, out = sys.argv[1:]
+data = ["--data", labeled, "--seed", "3"]
+codes = [main(["train", *data, "--model", "rf", "--trees", "2", "--out", out + "/rf.json"]),
+         main(["train", *data, "--model", "mlp", "--epochs", "1", "--out", out + "/mlp.json"]),
+         main(["eval", *data, "--model", "rf", "--trees", "2", "--folds", "2",
+               "--timing-rows", "1", "--timing-repeats", "1", "--out-dir", out]),
+         main(["eval", *data, "--model-file", out + "/mlp.json",
+               "--timing-rows", "1", "--timing-repeats", "1", "--out-dir", out])]
+print(codes, "numpy.ma" in sys.modules)
+"""
 
-def test_extract_and_label_do_not_import_numpy(tmp_path):
-    assert cli.main(["synth", "--out-dir", str(tmp_path), "--benign-http", "6",
+
+def _synth_capture(out_dir):
+    assert cli.main(["synth", "--out-dir", str(out_dir), "--benign-http", "6",
                      "--benign-dns", "4", "--flood-flows", "5", "--dos-flows", "2"]) == 0
+
+
+def _last_line_of_fresh_run(script: str, *argv) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", INGEST, str(tmp_path / "synth.pcap"),
-         str(tmp_path / "ground_truth.csv"), str(tmp_path / "features.csv"),
-         str(tmp_path / "labeled.csv")],
-        env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+    done = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_extract_and_label_do_not_import_numpy(tmp_path):
+    _synth_capture(tmp_path)
+    last = _last_line_of_fresh_run(INGEST, tmp_path / "synth.pcap",
+                                   tmp_path / "ground_truth.csv", tmp_path / "features.csv",
+                                   tmp_path / "labeled.csv")
+    assert last == "[0, 0] False"
     assert (tmp_path / "labeled.csv").is_file()
+
+
+def test_train_and_eval_do_not_import_numpy_ma(tmp_path):
+    _synth_capture(tmp_path)
+    features, labeled = tmp_path / "features.csv", tmp_path / "labeled.csv"
+    assert cli.main(["extract", "--pcap", str(tmp_path / "synth.pcap"),
+                     "--schema", "netflow_v2", "--out", str(features)]) == 0
+    assert cli.main(["label", "--features", str(features),
+                     "--events", str(tmp_path / "ground_truth.csv"), "--out", str(labeled)]) == 0
+    assert _last_line_of_fresh_run(MODELS, labeled, tmp_path) == "[0, 0, 0, 0] False"
 
 
 def test_every_public_name_resolves_and_is_listed():
