@@ -15,7 +15,7 @@ _EXPORTS = {
     "FeatureTable": "dataset", "GroundTruthEvent": "dataset",
     "LabeledDataset": "dataset", "MinMaxScaler": "dataset",
     "drop_identifiers": "dataset", "kfold_split": "dataset",
-    "label_flows": "dataset", "label_table": "dataset",
+    "label_table": "dataset",
     "ConfusionMatrix": "evaluation", "EvaluationReport": "evaluation",
     "ModelSpec": "evaluation", "binary_metrics": "evaluation",
     "crossval_evaluate": "evaluation", "measure_prediction_time": "evaluation",

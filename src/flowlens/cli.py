@@ -365,12 +365,13 @@ def cmd_explain(args) -> int:
         if budget < low:
             raise CliError(f"setting budget={budget}: must be at least {low} for {p} features")
 
-    X = saved.scaler.transform(labeled.X())
+    X = labeled.X()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     bg_idx = rng.choice(len(X), size=min(background_size, len(X)), replace=False)
     ex_idx = rng.choice(len(X), size=min(samples, len(X)), replace=False)
-    background = X[np.sort(bg_idx)]
-    explain_rows = X[np.sort(ex_idx)]
+    # Scaling works row by row, so only the sampled rows are scaled.
+    background = saved.scaler.transform(X[np.sort(bg_idx)])
+    explain_rows = saved.scaler.transform(X[np.sort(ex_idx)])
 
     explanations = explain_mod.explain_samples(
         saved.model, explain_rows, background, method=method,

@@ -27,7 +27,6 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
-from .flows import FlowRecord
 from .schema import CIC, NETFLOW_V2, FeatureSchema, SchemaError, load_schema
 from .util import format_value, meta_line, parse_meta_line
 
@@ -190,24 +189,6 @@ def _first_match(
     return winner
 
 
-def label_flows(
-    flows: list[FlowRecord],
-    events: list[GroundTruthEvent],
-    stats: LabelStats | None = None,
-) -> tuple[list[int], list[str]]:
-    """Per-flow (label, category) from interval-overlap + endpoint matching."""
-    if stats is None:
-        stats = LabelStats()
-    labels, categories = [], []
-    for fl in flows:
-        cat = _first_match(
-            events, fl.key.ip_a, fl.key.ip_b, fl.key.protocol, fl.first_ts, fl.last_ts, stats
-        )
-        categories.append(cat)
-        labels.append(0 if cat == BENIGN else 1)
-    return labels, categories
-
-
 def label_table(
     table: FeatureTable,
     events: list[GroundTruthEvent],
@@ -273,10 +254,13 @@ class MinMaxScaler:
 
         h, mins, span = self._halved()
         safe = np.where(span == 0, 1.0, span)
+        # One output buffer, worked on in place; ``rows`` is not changed.
+        out = rows * h
         with np.errstate(over="ignore"):  # a quotient past the float range clips to 1
-            out = (rows * h - mins) / safe
-        out = np.where(span == 0, 0.0, out)  # constant columns map to 0
-        return np.clip(out, 0.0, 1.0)
+            out -= mins
+            out /= safe
+        out[..., span == 0] = 0.0  # constant columns map to 0
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def transform_row(self, row) -> list[float]:
         """Single-sample path: plain Python beats array overhead at this width."""

@@ -66,11 +66,6 @@ class CoalitionValueFunction:
     def p(self) -> int:
         return len(self.x)
 
-    def value(self, subset: Sequence[int]) -> float:
-        mask = np.zeros((1, self.p), dtype=bool)
-        mask[0, np.asarray(list(subset), dtype=np.int64)] = True
-        return float(self.values_for_masks(mask)[0])
-
     def values_for_masks(self, masks: np.ndarray) -> np.ndarray:
         """One evaluation per coalition, averaged over the background.
         ``masks`` is a (coalitions, p) bool matrix: True takes x's value.

@@ -26,7 +26,7 @@ DEFAULT_ACTIVE_TIMEOUT = 120.0
 DEFAULT_ACTIVITY_TIMEOUT = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowKey:
     ip_a: str
     port_a: int
@@ -38,7 +38,7 @@ class FlowKey:
         return f"{self.ip_a}:{self.port_a}-{self.ip_b}:{self.port_b}-{self.protocol}"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """One bidirectional flow.
 
@@ -73,7 +73,7 @@ def _undirected(pkt: PacketRecord) -> tuple:
     return (min(a, b), max(a, b), pkt.protocol)
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowState:
     record: FlowRecord
     fin_fwd: bool = False

@@ -116,48 +116,63 @@ def parse_pcap(stream: BinaryIO, stats: ParseStats | None = None) -> list[Packet
     records: list[PacketRecord] = []
     unpack_header = struct.Struct(endian + "III").unpack_from  # ts_sec, ts_frac, incl_len
     addresses: dict[int, str] = {}  # dotted quad of each address seen in this call
-    buf, pos = b"", 0
+    values: dict[int, int] = {}  # one int object per port, length or window value
+    buf = bytearray(_READ_BLOCK_BYTES)
+    held = pos = 0  # buf[:held] came from the stream; buf[pos:held] is not decoded yet
     while True:
-        if len(buf) - pos < 16:
-            buf, pos = _read_at_least(stream, buf[pos:], 16), 0
-            if not buf:
+        if held - pos < 16:
+            held, pos = _refill(stream, buf, pos, held, 16), 0
+            if not held:
                 break
-            if len(buf) < 16:
+            if held < 16:
                 stats.skip("truncated_record_header")
                 break
         ts_sec, ts_frac, incl_len = unpack_header(buf, pos)
-        if pos + 16 + incl_len > len(buf):
-            buf, pos = _read_at_least(stream, buf[pos:], 16 + incl_len), 0
-            if 16 + incl_len > len(buf):
+        if pos + 16 + incl_len > held:
+            held, pos = _refill(stream, buf, pos, held, 16 + incl_len), 0
+            if 16 + incl_len > held:
                 stats.skip("truncated_record_body")
                 break
         start = pos + 16
         pos = end = start + incl_len
         ts = ts_sec * 1_000_000 + (ts_frac // 1000 if nanos else ts_frac)
-        rec = _decode_frame(ts, buf, start, end, addresses, stats)
+        rec = _decode_frame(ts, buf, start, end, addresses, values, stats)
         if rec is not None:
             records.append(rec)
             stats.packets += 1
     return records
 
 
-def _read_at_least(stream: BinaryIO, head: bytes, size: int) -> bytes:
-    """``head`` followed by blocks of the stream until ``size`` bytes are held
-    or the stream ends. Nothing is allocated for bytes the stream lacks."""
-    blocks = [head]
-    held = len(head)
+def _refill(stream: BinaryIO, buf: bytearray, pos: int, held: int, size: int) -> int:
+    """Move the bytes ``buf[pos:held]`` to the front of ``buf``, then read the
+    stream in after them until ``size`` bytes are held or the stream ends, and
+    return the count held. Reads go straight into ``buf``; it grows, a block
+    at a time, only for a record longer than it and only by bytes the stream
+    gives, so nothing is allocated for bytes the stream lacks."""
+    held -= pos
+    buf[:held] = buf[pos : pos + held]
     while held < size:
-        block = stream.read(_READ_BLOCK_BYTES)
-        if not block:
+        if held < len(buf):
+            with memoryview(buf) as view:
+                n = stream.readinto(view[held:])
+        else:
+            block = stream.read(_READ_BLOCK_BYTES)
+            buf += block
+            n = len(block)
+        if not n:
             break
-        blocks.append(block)
-        held += len(block)
-    return b"".join(blocks)
+        held += n
+    return held
 
 
-def _decode_frame(ts: int, buf: bytes, start: int, end: int, addresses: dict[int, str],
-                  stats: ParseStats) -> PacketRecord | None:
-    """Decode the Ethernet frame held in ``buf[start:end]`` without copying it."""
+def _decode_frame(ts: int, buf: bytearray, start: int, end: int, addresses: dict[int, str],
+                  values: dict[int, int], stats: ParseStats) -> PacketRecord | None:
+    """Decode the Ethernet frame held in ``buf[start:end]`` without copying it.
+
+    Integers above 256 are new objects each time they are made, so the
+    ports, lengths and window of a record are looked up in ``values``: every
+    record holding a value shares one object for it, as ``addresses`` shares
+    one string per address."""
     if end - start < 14:
         stats.skip("short_frame")
         return None
@@ -227,8 +242,11 @@ def _decode_frame(ts: int, buf: bytes, start: int, end: int, addresses: dict[int
     dst_ip = addresses.get(dst)
     if dst_ip is None:
         dst_ip = addresses[dst] = _dotted_quad(dst)
-    return PacketRecord(ts, src_ip, dst_ip, sport, dport, protocol, ttl, total_len, l4_len,
-                        total_len - ihl - l4_len, flags, window)
+    payload_len = total_len - ihl - l4_len
+    share = values.setdefault
+    return PacketRecord(ts, src_ip, dst_ip, share(sport, sport), share(dport, dport), protocol,
+                        ttl, share(total_len, total_len), l4_len,
+                        share(payload_len, payload_len), flags, share(window, window))
 
 
 def _dotted_quad(address: int) -> str:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from flowlens import dataset
 from flowlens.dataset import (BENIGN, FeatureTable, GroundTruthEvent,
                               LabeledDataset, LabelStats, MinMaxScaler,
-                              drop_identifiers, kfold_split, label_flows,
-                              label_table, read_events_csv, read_feature_csv,
+                              drop_identifiers, kfold_split, label_table,
+                              read_events_csv, read_feature_csv,
                               read_labeled_csv, read_labeled_matrix, write_events_csv,
                               write_feature_csv, write_labeled_csv)
 from flowlens.features import compute_features
@@ -33,16 +33,23 @@ def _flow(src, dst, start_s, end_s, proto=17):
     return assemble_flows(pkts)[0]
 
 
+def _labels(flows, events, stats=None):
+    """``label_table``'s labels and categories for ``flows`` under the cic
+    schema, whose microsecond durations rebuild each flow's interval exactly."""
+    ds = label_table(_feature_table(CIC, flows), events, stats)
+    return ds.labels, ds.categories
+
+
 def test_no_events_all_benign():
     flows = [_flow("10.0.0.1", "10.0.0.2", 0, 1)]
-    labels, cats = label_flows(flows, [])
+    labels, cats = _labels(flows, [])
     assert labels == [0] and cats == [BENIGN]
 
 
 def test_interval_overlap_match():
     flow = _flow("10.0.0.1", "10.0.0.2", 10, 12)
     ev = GroundTruthEvent("10.0.0.1", "10.0.0.2", None, 0, 60_000_000, "DDoS")
-    labels, cats = label_flows([flow], [ev])
+    labels, cats = _labels([flow], [ev])
     assert labels == [1] and cats == ["DDoS"]
 
 
@@ -50,14 +57,14 @@ def test_orientation_insensitive_match():
     # flow seen B -> A while the event records A -> B
     flow = _flow("10.0.0.2", "10.0.0.1", 10, 12)
     ev = GroundTruthEvent("10.0.0.1", "10.0.0.2", None, 0, 60_000_000, "DDoS")
-    labels, cats = label_flows([flow], [ev])
+    labels, cats = _labels([flow], [ev])
     assert labels == [1] and cats == ["DDoS"]
 
 
 def test_no_time_overlap_no_match():
     flow = _flow("10.0.0.1", "10.0.0.2", 100, 102)
     ev = GroundTruthEvent("10.0.0.1", "10.0.0.2", None, 0, 60_000_000, "DDoS")
-    labels, _ = label_flows([flow], [ev])
+    labels, _ = _labels([flow], [ev])
     assert labels == [0]
 
 
@@ -65,8 +72,8 @@ def test_wildcard_and_protocol_filter():
     flow = _flow("10.0.0.1", "10.0.0.2", 10, 12, proto=17)
     anywhere = GroundTruthEvent(None, "10.0.0.2", None, 0, 60_000_000, "Scan")
     wrong_proto = GroundTruthEvent(None, "10.0.0.2", 6, 0, 60_000_000, "Scan")
-    assert label_flows([flow], [anywhere])[0] == [1]
-    assert label_flows([flow], [wrong_proto])[0] == [0]
+    assert _labels([flow], [anywhere])[0] == [1]
+    assert _labels([flow], [wrong_proto])[0] == [0]
 
 
 def test_first_match_wins_and_conflicts_counted():
@@ -74,22 +81,32 @@ def test_first_match_wins_and_conflicts_counted():
     ev1 = GroundTruthEvent("10.0.0.1", None, None, 0, 60_000_000, "First")
     ev2 = GroundTruthEvent("10.0.0.1", None, None, 0, 60_000_000, "Second")
     stats = LabelStats()
-    _, cats = label_flows([flow], [ev1, ev2], stats)
+    _, cats = _labels([flow], [ev1, ev2], stats)
     assert cats == ["First"]
     assert stats.conflicts == 1
 
 
-def test_label_table_matches_label_flows():
+def test_label_table_labels_alike_under_both_schemas():
     pkts = [udp_packet(1_000_000, "10.0.0.1", 5, "10.0.0.9", 6, payload=10),
             udp_packet(2_000_000, "10.0.0.1", 5, "10.0.0.9", 6, payload=10),
             udp_packet(9_000_000, "10.0.0.3", 7, "10.0.0.4", 8, payload=10)]
     flows = assemble_flows(pkts)
     events = [GroundTruthEvent(None, "10.0.0.9", None, 0, 5_000_000, "Dos")]
-    expected_labels, expected_cats = label_flows(flows, events)
     for schema in (NF, CIC):
         ds = label_table(_feature_table(schema, flows), events)
-        assert ds.labels == expected_labels
-        assert ds.categories == expected_cats
+        assert ds.labels == [1, 0]
+        assert ds.categories == ["Dos", BENIGN]
+
+
+def _interval_labels(flows, events):
+    """Each flow's label and category from its own endpoints and interval:
+    the first event that matches it, else benign."""
+    categories = []
+    for fl in flows:
+        hits = [ev.category for ev in events
+                if ev.matches(fl.key.ip_a, fl.key.ip_b, fl.key.protocol, fl.first_ts, fl.last_ts)]
+        categories.append(hits[0] if hits else BENIGN)
+    return [0 if cat == BENIGN else 1 for cat in categories], categories
 
 
 HOSTS = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
@@ -116,9 +133,9 @@ def flows_and_events(draw):
 
 @settings(max_examples=100)
 @given(case=flows_and_events())
-def test_label_table_on_written_table_agrees_with_label_flows(tmp_path_factory, case):
+def test_label_table_on_written_table_agrees_with_flow_intervals(tmp_path_factory, case):
     flows, events = case
-    labels, categories = label_flows(flows, events)
+    labels, categories = _interval_labels(flows, events)
     tmp = tmp_path_factory.mktemp("label")
     for schema in (CIC, NF):
         path = tmp / f"{schema.name}.csv"
@@ -212,6 +229,48 @@ def test_minmax_column_wider_than_the_float_range():
     assert out[:, 1].tobytes() == np.clip(rows[:, 1] / 3.0, 0.0, 1.0).tobytes()
     for row, expected in zip(rows, out):
         assert scaler.transform_row(row.tolist()) == expected.tolist()
+
+
+def _plain_transform(scaler, rows):
+    """The scaling formula written out, as ``transform`` computed it before it
+    worked in one buffer."""
+    h, mins, span = scaler._halved()
+    safe = np.where(span == 0, 1.0, span)
+    with np.errstate(over="ignore"):
+        out = (rows * h - mins) / safe
+    out = np.where(span == 0, 0.0, out)
+    return np.clip(out, 0.0, 1.0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+BIG = np.finfo(float).max
+
+
+@st.composite
+def scaler_and_rows(draw):
+    width = draw(st.integers(1, 5))
+    fit = np.array(draw(st.lists(st.lists(FINITE, min_size=width, max_size=width),
+                                 min_size=2, max_size=5)))
+    for j in range(width):
+        kind = draw(st.sampled_from(["any", "constant", "overflow"]))
+        if kind == "constant":
+            fit[:, j] = fit[0, j]
+        elif kind == "overflow":  # max - min is past the float range: halved
+            fit[0, j], fit[1, j] = -draw(st.floats(1e308, BIG)), draw(st.floats(1e308, BIG))
+    # Rows anywhere in the float range, so most cells fall outside the fitted one.
+    rows = np.array(draw(st.lists(st.lists(FINITE, min_size=width, max_size=width),
+                                  min_size=1, max_size=6)))
+    return MinMaxScaler.fit(fit), rows
+
+
+@settings(max_examples=200)
+@given(case=scaler_and_rows())
+def test_minmax_transform_is_the_plain_formula_bit_for_bit(case):
+    scaler, rows = case
+    before = rows.tobytes()
+    out = scaler.transform(rows)
+    assert rows.tobytes() == before
+    assert out.tobytes() == _plain_transform(scaler, rows).tobytes()
 
 
 def test_scaler_fit_on_train_only_detects_leakage():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import flowlens.pcap as pcap_mod
 from flowlens.cli import main
+from flowlens.flows import assemble_flows
 from flowlens.pcap import (PROTO_ICMP, PROTO_TCP, PROTO_UDP, PacketRecord, ParseStats,
                            PcapFormatError, SYN, build_frame, parse_pcap, write_pcap)
 from conftest import (MAGIC_BE_MICROS, MAGIC_LE_MICROS, MAGIC_LE_NANOS,
@@ -411,3 +412,50 @@ def test_huge_claimed_record_length_is_truncated_body(tmp_path):
     assert len(records) == 1
     assert stats.reasons == {"truncated_record_body": 1}
     assert peak < 8 * 2**20  # the read block, not the 4 GiB claim
+
+
+@pytest.fixture(scope="module")
+def synth_pcap(tmp_path_factory):
+    """The default synth capture: 4,895 packets in 600 flows."""
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out-dir", str(out)]) == 0
+    return out / "synth.pcap"
+
+
+def _traced(fn):
+    """``fn()``, the bytes it still held when it returned, and its peak."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
+def test_reading_holds_one_block_beside_the_records(synth_pcap):
+    """The read buffer is filled in place: no old buffer, new block and
+    their joined copy alive at once. Observed gap 1.09 blocks here; 2.28
+    when each refill joined the unread bytes to a new block."""
+    def parse():
+        with open(synth_pcap, "rb") as fh:
+            return parse_pcap(fh)
+
+    _, held, peak = _traced(parse)
+    assert peak - held <= 1.5 * pcap_mod._READ_BLOCK_BYTES
+
+
+def test_packets_and_flows_share_their_repeated_values(synth_pcap):
+    """Each distinct port, length and window is one int object across the
+    records, and flow objects carry no per-instance dict. Observed 250 bytes
+    held per packet here; 352 when every record made its own ints and flows
+    were plain dataclasses."""
+    def decode_and_assemble():
+        with open(synth_pcap, "rb") as fh:
+            return assemble_flows(parse_pcap(fh))
+
+    flows, held, _ = _traced(decode_and_assemble)
+    packets = sum(len(flow.packets) for flow in flows)
+    assert packets == 4895
+    assert held / packets <= 300
+    assert not hasattr(flows[0], "__dict__") and not hasattr(flows[0].key, "__dict__")
