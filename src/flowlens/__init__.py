@@ -28,7 +28,7 @@ _EXPORTS = {
     "compute_netflow_features": "features",
     "FlowKey": "flows", "FlowRecord": "flows", "assemble_flows": "flows",
     "Forest": "forest", "ForestParams": "forest", "train_forest": "forest",
-    "Mlp": "mlp", "MlpParams": "mlp", "mlp_gradient": "mlp", "train_mlp": "mlp",
+    "Mlp": "mlp", "MlpParams": "mlp", "train_mlp": "mlp",
     "load_model": "model_io", "save_model": "model_io",
     "PacketRecord": "pcap", "ParseStats": "pcap", "parse_pcap": "pcap",
     "write_pcap": "pcap",

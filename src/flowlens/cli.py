@@ -28,7 +28,8 @@ from .features import compute_features
 from .flows import (DEFAULT_ACTIVE_TIMEOUT, DEFAULT_ACTIVITY_TIMEOUT,
                     DEFAULT_IDLE_TIMEOUT, assemble_flows)
 from .pcap import ParseStats, PcapFormatError, parse_pcap, write_pcap
-from .schema import FingerprintMismatch, ModelFormatError, SchemaError, load_schema
+from .schema import (FeatureSchema, FingerprintMismatch, ModelFormatError, SchemaError,
+                     load_schema)
 from .util import FOREST_RULES, MLP_RULES, at_least, config_hash, finite_positive, meta_line
 
 # Names from numpy and the modules that import it, bound on first use by
@@ -184,8 +185,7 @@ def cmd_extract(args) -> int:
     pcap_path = _require_file(args.pcap, "pcap file")
     with open(pcap_path, "rb") as fh:
         stats = ParseStats()
-        packets = parse_pcap(fh, stats)
-    flows = assemble_flows(packets, idle_timeout=idle, active_timeout=active)
+        flows = assemble_flows(parse_pcap(fh, stats), idle_timeout=idle, active_timeout=active)
     # Rows reach the writer as they are computed, so only one block of them
     # is alive at a time, never the whole feature table.
     rows = (compute_features(flow, schema, activity_timeout=activity) for flow in flows)
@@ -213,17 +213,17 @@ def cmd_label(args) -> int:
     return EXIT_OK
 
 
-def _read_labeled(path: str, both_classes: bool) -> ds_mod.LabeledMatrix:
-    """The labeled CSV at ``path``. One without rows is an input error, and so
-    is one without both classes where a classifier is fitted or scored."""
-    labeled, _ = ds_mod.read_labeled_matrix(_require_file(path, "labeled CSV"))
-    y = labeled.y()
+def _read_labeled(path: str, both_classes: bool) -> tuple[FeatureSchema, np.ndarray, np.ndarray]:
+    """The schema, learnable matrix and labels of the labeled CSV at ``path``.
+    One without rows is an input error, and so is one without both classes
+    where a classifier is fitted or scored."""
+    schema, X, y, _ = ds_mod.read_labeled_matrix(_require_file(path, "labeled CSV"))
     if not len(y):
         raise CliError(f"{path}: labeled CSV has no rows")
     if both_classes and y.min() == y.max():
         raise CliError(f"{path}: labeled CSV holds one class only; "
                        "training and evaluation need benign and attack rows")
-    return labeled
+    return schema, X, y
 
 
 def _model_spec(st: Settings, seed: int) -> ModelSpec:
@@ -260,16 +260,15 @@ def _learning_rate_blamed(st: Settings):
 def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
-    labeled = _read_labeled(args.data, both_classes=True)
+    schema, X_raw, y = _read_labeled(args.data, both_classes=True)
     spec = _model_spec(st, seed)
 
-    X_raw = labeled.X()
     scaler = ds_mod.MinMaxScaler.fit(X_raw)
     with _learning_rate_blamed(st):
-        model = spec.train(scaler.transform(X_raw), labeled.y())
+        model = spec.train(scaler.transform(X_raw), y)
     _cli.save_model(args.out, model, scaler=scaler,
-                    feature_names=labeled.schema.learnable_names, meta=st.provenance(),
-                    schema_fingerprint=labeled.schema.fingerprint())
+                    feature_names=schema.learnable_names, meta=st.provenance(),
+                    schema_fingerprint=schema.fingerprint())
     print(f"trained {spec.kind} on {len(X_raw)} rows -> {args.out}")
     return EXIT_OK
 
@@ -284,18 +283,18 @@ def _write_report_files(out_dir: Path, stem: str, report, provenance: dict):
     Path(f"{base}_report.txt").write_text(table, encoding="utf-8")
 
 
-def _load_saved_model(st: Settings, path: str, labeled: ds_mod.LabeledMatrix):
-    """Load the model file at ``path`` for the ``labeled`` rows; refuse one
-    built from other feature columns or saved without its scaler. Provenance
-    records the sha256 of the file's bytes, not its path."""
+def _load_saved_model(st: Settings, path: str, schema: FeatureSchema, width: int):
+    """Load the model file at ``path`` for data of ``schema`` with ``width``
+    learnable columns; refuse one built from other feature columns or saved
+    without its scaler. Provenance records the sha256 of the file's bytes, not
+    its path."""
     model_file = _require_file(path, "model file")
     st.effective["model_file"] = hashlib.sha256(model_file.read_bytes()).hexdigest()
     saved = _cli.load_model(model_file)
-    if saved.schema_fingerprint != labeled.schema.fingerprint():
+    if saved.schema_fingerprint != schema.fingerprint():
         raise FingerprintMismatch("model and dataset were built from different feature columns")
     if saved.scaler is None:
         raise CliError("model file carries no scaler; cannot normalize inputs")
-    width = labeled.X().shape[1]
     if saved.model.n_features != width:
         raise CliError(f"model file {model_file} takes {saved.model.n_features} features; "
                        f"the data has {width} learnable columns")
@@ -307,22 +306,20 @@ def cmd_eval(args) -> int:
     seed = st.seed()
     timing_rows = st.get("timing_rows", 256, at_least(1))
     timing_repeats = st.get("timing_repeats", 3, at_least(1))
-    labeled = _read_labeled(args.data, both_classes=True)
+    schema, X, y = _read_labeled(args.data, both_classes=True)
     dataset_name = Path(args.data).stem
 
     if args.model_file:
-        saved = _load_saved_model(st, args.model_file, labeled)
-        fold = _cli.evaluate_split(saved.model, saved.scaler, labeled.X(), labeled.y(),
-                              timing_rows=timing_rows, timing_repeats=timing_repeats)
+        saved = _load_saved_model(st, args.model_file, schema, X.shape[1])
+        fold = _cli.evaluate_split(saved.model, saved.scaler, X, y,
+                                   timing_rows=timing_rows, timing_repeats=timing_repeats)
         report = _cli.EvaluationReport(dataset_name=dataset_name, model_name=saved.kind,
-                                       seed=seed, k=1, folds=[fold],
-                                       feature_set=labeled.schema.name)
+                                       seed=seed, k=1, folds=[fold], feature_set=schema.name)
         stem = f"{dataset_name}_{saved.kind}_saved"
     else:
         if not args.model:
             raise CliError("eval needs --model or --model-file")
         k = st.get("folds", 5, at_least(2))
-        y = labeled.y()
         attacks = int(y.sum())
         rare = min(attacks, len(y) - attacks)
         if k > rare:
@@ -331,9 +328,9 @@ def cmd_eval(args) -> int:
         spec = _model_spec(st, seed)
         with _learning_rate_blamed(st):
             report = _cli.crossval_evaluate(
-                labeled, spec, k=k, seed=seed, dataset_name=dataset_name,
+                X, y, spec, k=k, seed=seed, dataset_name=dataset_name,
                 timing_rows=timing_rows, timing_repeats=timing_repeats,
-                feature_set=labeled.schema.name,
+                feature_set=schema.name,
             )
         stem = f"{dataset_name}_{spec.kind}"
     _write_report_files(_out_dir(args.out_dir), stem, report, st.provenance())
@@ -350,8 +347,8 @@ def cmd_explain(args) -> int:
     samples = st.get("samples", 500, at_least(1))
     background_size = st.get("background", 100, at_least(1))
     budget = st.get("budget", 2048, int)
-    labeled = _read_labeled(args.data, both_classes=False)
-    saved = _load_saved_model(st, args.model_file, labeled)
+    schema, X, _ = _read_labeled(args.data, both_classes=False)
+    saved = _load_saved_model(st, args.model_file, schema, X.shape[1])
 
     explain_mod, np = _cli.explain_mod, _cli.np
 
@@ -365,7 +362,6 @@ def cmd_explain(args) -> int:
         if budget < low:
             raise CliError(f"setting budget={budget}: must be at least {low} for {p} features")
 
-    X = labeled.X()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     bg_idx = rng.choice(len(X), size=min(background_size, len(X)), replace=False)
     ex_idx = rng.choice(len(X), size=min(samples, len(X)), replace=False)
@@ -377,7 +373,7 @@ def cmd_explain(args) -> int:
         saved.model, explain_rows, background, method=method,
         coalition_budget=budget, seed=seed,
     )
-    ranking = explain_mod.global_ranking(explanations, labeled.schema.learnable_names)
+    ranking = explain_mod.global_ranking(explanations, schema.learnable_names)
 
     out = _out_dir(args.out_dir)
     stem = f"{Path(args.data).stem}_{saved.kind}_{method}"

@@ -106,23 +106,6 @@ class LabeledDataset:
         return np.array(self.labels, dtype=int)
 
 
-@dataclass
-class LabeledMatrix:
-    """What fitting, scoring and explaining a model read of a labeled table:
-    the learnable columns as one float64 matrix and the 0/1 labels. ``X()``
-    and ``y()`` equal those of the :class:`LabeledDataset` of the same rows."""
-
-    schema: FeatureSchema
-    matrix: np.ndarray
-    labels: np.ndarray
-
-    def X(self) -> np.ndarray:
-        return self.matrix
-
-    def y(self) -> np.ndarray:
-        return self.labels
-
-
 # --- ground truth -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -526,10 +509,11 @@ def read_labeled_csv(path: str | Path) -> tuple[LabeledDataset, dict]:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def read_labeled_matrix(path: str | Path) -> tuple[LabeledMatrix, dict]:
-    """The labeled CSV at ``path`` as a model reads it, and its provenance:
-    what :func:`read_labeled_csv` then ``X()`` and ``y()`` give, and the same
-    errors.
+def read_labeled_matrix(path: str | Path) -> tuple[FeatureSchema, np.ndarray, np.ndarray, dict]:
+    """The labeled CSV at ``path`` as a model reads it: its schema, the
+    learnable columns as one float64 matrix, the 0/1 labels and its
+    provenance. The matrix and labels are what :func:`read_labeled_csv` then
+    ``X()`` and ``y()`` give, with the same errors.
 
     The numbers are parsed by ``np.loadtxt``'s C reader, which reads a subset
     of the cells :func:`typed_columns` reads, to the same values. Where it
@@ -544,16 +528,16 @@ def read_labeled_matrix(path: str | Path) -> tuple[LabeledMatrix, dict]:
             body = fh.read() if labeled else ""
         except UnicodeDecodeError:
             body = ""
-    matrix = _loadtxt_matrix(schema, body) if body else None
-    if matrix is None:
+    parsed = _loadtxt_matrix(schema, body) if body else None
+    if parsed is None:
         ds, meta = read_labeled_csv(path)
-        matrix = LabeledMatrix(ds.schema, ds.X(), ds.y())
-    return matrix, meta
+        parsed = ds.X(), ds.y()
+    return schema, *parsed, meta
 
 
-def _loadtxt_matrix(schema: FeatureSchema, body: str) -> LabeledMatrix | None:
-    """The rows of ``body`` through ``np.loadtxt``, or None wherever
-    :func:`read_labeled_csv` could decide otherwise."""
+def _loadtxt_matrix(schema: FeatureSchema, body: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The matrix and labels of the rows of ``body`` through ``np.loadtxt``,
+    or None wherever :func:`read_labeled_csv` could decide otherwise."""
     import numpy as np
 
     if '"' in body or "\r" in body:
@@ -586,7 +570,7 @@ def _loadtxt_matrix(schema: FeatureSchema, body: str) -> LabeledMatrix | None:
         return None
     matrix = values[:, :len(learnable)].copy()
     matrix[matrix == 0] = 0.0  # below 2**53 the typed reader holds zero as int 0, never -0.0
-    return LabeledMatrix(schema, matrix, labels.astype(int))
+    return matrix, labels.astype(int)
 
 
 _EVENT_HEADER = ["src_ip", "dst_ip", "protocol", "start_ts", "end_ts", "category"]

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import LabeledDataset, LabeledMatrix, MinMaxScaler
+from .dataset import MinMaxScaler
 from .forest import Forest, ForestParams, train_forest
 from .mlp import DivergenceError, Mlp, MlpParams, train_mlp
 from . import dataset as _dataset
@@ -189,7 +189,8 @@ def evaluate_split(
 
 
 def crossval_evaluate(
-    ds: LabeledDataset | LabeledMatrix,
+    X: np.ndarray,
+    y: np.ndarray,
     spec: ModelSpec,
     k: int = 5,
     seed: int = 0,
@@ -198,12 +199,11 @@ def crossval_evaluate(
     timing_repeats: int = 3,
     feature_set: str = "",
 ) -> EvaluationReport:
-    """Per fold: fit the scaler on the training split only, train, evaluate.
+    """Per fold of the raw matrix ``X`` and its 0/1 labels ``y``: fit the
+    scaler on the training split only, train, evaluate.
 
     Folds run serially so the timing phase never competes for the CPU.
     """
-    X = ds.X()
-    y = ds.y()
     folds = []
     for fold, (train_idx, test_idx) in enumerate(_dataset.kfold_split(y, k=k, seed=seed)):
         scaler = MinMaxScaler.fit(X[train_idx])

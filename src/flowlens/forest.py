@@ -21,15 +21,11 @@ import numpy as np
 
 
 @dataclass
-class TreeParams:
+class ForestParams:
     max_depth: int = 16
     min_samples_split: int = 2
     # Fraction of features considered per split; "sqrt" means round(sqrt(p)).
     feature_subsample: float | str = "sqrt"
-
-
-@dataclass
-class ForestParams(TreeParams):
     n_trees: int = 100
     seed: int = 0
     bootstrap: bool = True  # off: every tree sees the full training set
@@ -64,7 +60,7 @@ class DecisionTree:
 
 
 class _TreeBuilder:
-    def __init__(self, X: np.ndarray, y: np.ndarray, params: TreeParams, rng: np.random.Generator):
+    def __init__(self, X: np.ndarray, y: np.ndarray, params: ForestParams, rng: np.random.Generator):
         self.X = X
         self.y = y
         self.params = params

@@ -7,7 +7,6 @@ exact backpropagation and are checked against finite differences in tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +51,7 @@ class Mlp:
     def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Returns (pre-activations per layer, activations per layer incl. input).
 
-        Only ``mlp_gradient`` needs these; inference goes through ``logits``,
+        Only ``_backprop`` needs these; inference goes through ``logits``,
         which keeps none of them."""
         zs, acts = [], [X]
         a = X
@@ -85,16 +84,7 @@ class Mlp:
         return _sigmoid(self.logits(X))
 
     def predict_proba_one(self, x) -> float:
-        values = [float(v) for v in x]
-        if len(values) != self.n_features:
-            raise ValueError(f"expected {self.n_features} features, got {len(values)}")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError("input contains non-finite values")
-        return float(_sigmoid(self.logits(np.array(values).reshape(1, -1)))[0])
-
-    def loss(self, X: np.ndarray, y: np.ndarray) -> float:
-        return _bce_from_logits(self.logits(X), np.asarray(y, dtype=float))
+        return float(self.predict_proba(np.asarray([x], dtype=float))[0])
 
 
 def init_mlp(n_features: int, params: MlpParams | None = None) -> Mlp:
@@ -111,19 +101,10 @@ def init_mlp(n_features: int, params: MlpParams | None = None) -> Mlp:
     return Mlp(weights=weights, biases=biases, params=params, n_features=n_features)
 
 
-def mlp_gradient(mlp: Mlp, X: np.ndarray, y: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the mean cross-entropy loss w.r.t. every weight and bias."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[1] != mlp.n_features:
-        raise ValueError(f"expected {mlp.n_features} features, got shape {X.shape}")
-    dWs, dbs, _ = _backprop(mlp, X, y)
-    return dWs, dbs
-
-
 def _backprop(mlp: Mlp, X: np.ndarray, y: np.ndarray):
-    """``mlp_gradient`` of float arrays of the right width, and the output
-    unit's pre-activation for each row, from the same forward pass."""
+    """Gradients of the mean cross-entropy loss w.r.t. every weight and bias,
+    for float arrays of the right width, and the output unit's pre-activation
+    for each row, from the same forward pass."""
     n = len(X)
     zs, acts = mlp._forward(X)
     delta = (_sigmoid(zs[-1]) - y.reshape(-1, 1)) / n

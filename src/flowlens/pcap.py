@@ -10,7 +10,7 @@ counted, never raised.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, NamedTuple
 
 # TCP flag bits, low byte of the offset/flags word.
@@ -69,12 +69,10 @@ class PacketRecord(NamedTuple):
 class ParseStats:
     packets: int = 0
     skipped: int = 0
-    reasons: dict[str, int] | None = None
+    reasons: dict[str, int] = field(default_factory=dict)
 
     def skip(self, reason: str):
         self.skipped += 1
-        if self.reasons is None:
-            self.reasons = {}
         self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 

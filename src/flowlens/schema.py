@@ -66,10 +66,6 @@ class FeatureSchema:
         return [c.name for c in self.columns]
 
     @property
-    def identifier_names(self) -> list[str]:
-        return [c.name for c in self.columns if c.kind == IDENTIFIER]
-
-    @property
     def learnable_names(self) -> list[str]:
         return [c.name for c in self.columns if c.kind == LEARNABLE]
 

@@ -53,19 +53,12 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def horizontal_bar_chart(
-    items: list[tuple[str, float]],
-    title: str,
-    plot_width: float = 420.0,
-    bar_height: float = 16.0,
-    gap: float = 6.0,
-    label_width: float = 240.0,
-    meta: str = "",
-) -> str:
+def horizontal_bar_chart(items: list[tuple[str, float]], title: str, meta: str = "") -> str:
     """One horizontal bar per item; a value of 1.0 spans the full plot width.
 
     Values are expected in [0, 1] (normalized scores, best first).
     """
+    plot_width, bar_height, gap, label_width = 420.0, 16.0, 6.0, 240.0
     top = 34.0
     height = top + len(items) * (bar_height + gap) + 14.0
     canvas = SvgCanvas(label_width + plot_width + 70.0, height)
@@ -88,11 +81,10 @@ def grouped_bar_chart(
     series: list[tuple[str, list[float]]],
     title: str,
     y_label: str = "",
-    plot_height: float = 220.0,
-    bar_width: float = 34.0,
     meta: str = "",
 ) -> str:
     """Bars side by side within each group; y axis fixed to [0, 1]."""
+    plot_height, bar_width = 220.0, 34.0
     colors = ["#4878a8", "#d1605e", "#6aa56e", "#e8b049"]
     inner_gap = 4.0
     group_gap = 36.0

@@ -14,7 +14,7 @@ from flowlens.dataset import (BENIGN, FeatureTable, GroundTruthEvent,
                               write_feature_csv, write_labeled_csv)
 from flowlens.features import compute_features
 from flowlens.flows import assemble_flows
-from flowlens.schema import SchemaError, load_schema
+from flowlens.schema import IDENTIFIER, SchemaError, load_schema
 from conftest import udp_packet
 
 CIC = load_schema("cic")
@@ -181,8 +181,7 @@ def test_drop_identifiers_width_and_order():
     ds = _tiny_labeled()
     out = drop_identifiers(ds)
     assert out.schema.width() == 83 - 6
-    assert out.schema.column_names == [c for c in CIC.column_names
-                                       if c not in CIC.identifier_names]
+    assert out.schema.column_names == [c.name for c in CIC.columns if c.kind != IDENTIFIER]
     # survivors keep their values
     j_src = CIC.index_of("Protocol")
     assert out.table.columns[out.schema.index_of("Protocol")] == ds.table.columns[j_src]
@@ -351,10 +350,10 @@ def test_label_outside_0_1_rejected(tmp_path, label):
 
 
 def _assert_same_matrix(path, typed, meta):
-    got, got_meta = read_labeled_matrix(path)
-    assert got.X().tobytes() == typed.X().tobytes() and got.X().shape == typed.X().shape
-    assert got.y().dtype == typed.y().dtype and got.y().tolist() == typed.labels
-    assert got.schema == typed.schema and got_meta == meta
+    schema, X, y, got_meta = read_labeled_matrix(path)
+    assert X.tobytes() == typed.X().tobytes() and X.shape == typed.X().shape
+    assert y.dtype == typed.y().dtype and y.tolist() == typed.labels
+    assert schema == typed.schema and got_meta == meta
 
 
 def test_labeled_matrix_parses_a_plain_table_with_numpy(tmp_path, monkeypatch):

@@ -213,7 +213,7 @@ def _toy_dataset(n=60, seed=0):
 def test_crossval_separable_is_perfect():
     ds = _toy_dataset()
     spec = ModelSpec("rf", forest_params=ForestParams(n_trees=15, max_depth=4, seed=2))
-    report = crossval_evaluate(ds, spec, k=5, seed=1, dataset_name="toy",
+    report = crossval_evaluate(ds.X(), ds.y(), spec, k=5, seed=1, dataset_name="toy",
                                timing_rows=16, timing_repeats=1)
     assert report.mean("accuracy") == 1.0
     assert report.mean("far") == 0.0
@@ -224,8 +224,8 @@ def test_crossval_separable_is_perfect():
 def test_crossval_deterministic_metrics():
     ds = _toy_dataset(seed=3)
     spec = ModelSpec("rf", forest_params=ForestParams(n_trees=10, max_depth=4, seed=2))
-    r1 = crossval_evaluate(ds, spec, k=5, seed=4, timing_rows=8, timing_repeats=1)
-    r2 = crossval_evaluate(ds, spec, k=5, seed=4, timing_rows=8, timing_repeats=1)
+    r1 = crossval_evaluate(ds.X(), ds.y(), spec, k=5, seed=4, timing_rows=8, timing_repeats=1)
+    r2 = crossval_evaluate(ds.X(), ds.y(), spec, k=5, seed=4, timing_rows=8, timing_repeats=1)
     for m in ("accuracy", "f1", "dr", "far", "auc"):
         assert [getattr(f, m) for f in r1.folds] == [getattr(f, m) for f in r2.folds]
 
@@ -234,7 +234,7 @@ def test_crossval_training_error_carries_fold_index():
     ds = _toy_dataset(n=12, seed=5)
     spec = ModelSpec("bogus")
     with pytest.raises(RuntimeError, match="fold 0"):
-        crossval_evaluate(ds, spec, k=3, seed=0, timing_rows=4, timing_repeats=1)
+        crossval_evaluate(ds.X(), ds.y(), spec, k=3, seed=0, timing_rows=4, timing_repeats=1)
 
 
 # --- rendering fixture -----------------------------------------------------------

@@ -9,7 +9,7 @@ from flowlens.dataset import write_feature_csv
 from flowlens.features import (compute_cic_features, compute_features,
                                compute_netflow_features, vector_for)
 from flowlens.flows import assemble_flows
-from flowlens.schema import SchemaError, load_schema
+from flowlens.schema import IDENTIFIER, SchemaError, load_schema
 from flowlens.synth import ScenarioParams, generate_scenario
 from conftest import make_flow, tcp_packet
 
@@ -30,11 +30,11 @@ def test_schema_widths():
     assert len(NF.learnable_names) == 39
     assert CIC.width() == 83
     assert len(CIC.learnable_names) == 77
-    assert set(NF.identifier_names) == {
+    assert {c.name for c in NF.columns if c.kind == IDENTIFIER} == {
         "FLOW_ID", "TIMESTAMP", "IPV4_SRC_ADDR", "L4_SRC_PORT",
         "IPV4_DST_ADDR", "L4_DST_PORT",
     }
-    assert set(CIC.identifier_names) == {
+    assert {c.name for c in CIC.columns if c.kind == IDENTIFIER} == {
         "Flow ID", "Src IP", "Src Port", "Dst IP", "Dst Port", "Timestamp",
     }
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlens.forest import Forest, ForestParams, TreeParams, _TreeBuilder, train_forest
+from flowlens.forest import Forest, ForestParams, _TreeBuilder, train_forest
 from flowlens.model_io import save_model
 
 
@@ -267,7 +267,7 @@ def split_nodes(draw):
 @given(node=split_nodes())
 def test_split_search_is_bitwise_equal_to_loop_reference(node):
     X, y, idx, subsample, seed = node
-    params = TreeParams(feature_subsample=subsample)
+    params = ForestParams(feature_subsample=subsample)
     ref = _TreeBuilder(X, y, params, np.random.Generator(np.random.PCG64(seed)))
     new = _TreeBuilder(X, y, params, np.random.Generator(np.random.PCG64(seed)))
     assert new._best_split(idx, int(y[idx].sum())) == loop_best_split(ref, idx)

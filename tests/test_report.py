@@ -19,7 +19,7 @@ BAR = re.compile(r'<rect class="bar" x="[\d.]+" y="[\d.]+" width="([\d.]+)"')
 
 def test_horizontal_bar_chart_geometry():
     items = [(f"feat{i}", 1.0 - i * 0.04) for i in range(25)][:20]
-    svg = horizontal_bar_chart(items, title="top", plot_width=420.0)
+    svg = horizontal_bar_chart(items, title="top")
     widths = [float(m.group(1)) for m in BAR.finditer(svg)]
     assert len(widths) == 20
     assert max(widths) == 420.0  # normalized best bar spans the full plot
