@@ -229,19 +229,22 @@ def _read_labeled(path: str, both_classes: bool) -> tuple[FeatureSchema, np.ndar
 def _model_spec(st: Settings, seed: int) -> ModelSpec:
     kind = st.args.model
     st.effective["model"] = kind
-    forest = _cli.ForestParams(
-        n_trees=st.get("trees", 100, FOREST_RULES["n_trees"]),
-        max_depth=st.get("max_depth", 16, FOREST_RULES["max_depth"]),
-        min_samples_split=st.get("min_samples_split", 2, FOREST_RULES["min_samples_split"]),
-        feature_subsample=st.get("feature_fraction", "sqrt", FOREST_RULES["feature_subsample"]),
+    ForestParams, MlpParams = _cli.ForestParams, _cli.MlpParams
+    forest = ForestParams(
+        n_trees=st.get("trees", ForestParams.n_trees, FOREST_RULES["n_trees"]),
+        max_depth=st.get("max_depth", ForestParams.max_depth, FOREST_RULES["max_depth"]),
+        min_samples_split=st.get("min_samples_split", ForestParams.min_samples_split,
+                                 FOREST_RULES["min_samples_split"]),
+        feature_subsample=st.get("feature_fraction", ForestParams.feature_subsample,
+                                 FOREST_RULES["feature_subsample"]),
         seed=seed,
     )
-    hidden = st.get("hidden", "64,32,16", _layer_sizes)
-    mlp = _cli.MlpParams(
+    hidden = st.get("hidden", ",".join(map(str, MlpParams.hidden)), _layer_sizes)
+    mlp = MlpParams(
         hidden=tuple(int(h) for h in hidden.split(",") if h),
-        learning_rate=st.get("learning_rate", 0.05, MLP_RULES["learning_rate"]),
-        epochs=st.get("epochs", 60, MLP_RULES["epochs"]),
-        batch_size=st.get("batch_size", 32, MLP_RULES["batch_size"]),
+        learning_rate=st.get("learning_rate", MlpParams.learning_rate, MLP_RULES["learning_rate"]),
+        epochs=st.get("epochs", MlpParams.epochs, MLP_RULES["epochs"]),
+        batch_size=st.get("batch_size", MlpParams.batch_size, MLP_RULES["batch_size"]),
         seed=seed,
     )
     return _cli.ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
@@ -267,8 +270,7 @@ def cmd_train(args) -> int:
     with _learning_rate_blamed(st):
         model = spec.train(scaler.transform(X_raw), y)
     _cli.save_model(args.out, model, scaler=scaler,
-                    feature_names=schema.learnable_names, meta=st.provenance(),
-                    schema_fingerprint=schema.fingerprint())
+                    feature_names=schema.learnable_names, meta=st.provenance())
     print(f"trained {spec.kind} on {len(X_raw)} rows -> {args.out}")
     return EXIT_OK
 
@@ -283,21 +285,18 @@ def _write_report_files(out_dir: Path, stem: str, report, provenance: dict):
     Path(f"{base}_report.txt").write_text(table, encoding="utf-8")
 
 
-def _load_saved_model(st: Settings, path: str, schema: FeatureSchema, width: int):
-    """Load the model file at ``path`` for data of ``schema`` with ``width``
-    learnable columns; refuse one built from other feature columns or saved
-    without its scaler. Provenance records the sha256 of the file's bytes, not
-    its path."""
+def _load_saved_model(st: Settings, path: str, schema: FeatureSchema):
+    """Load the model file at ``path`` for data of ``schema``; refuse one
+    trained on other feature columns. Provenance records the sha256 of the
+    file's bytes, not its path."""
     model_file = _require_file(path, "model file")
     st.effective["model_file"] = hashlib.sha256(model_file.read_bytes()).hexdigest()
     saved = _cli.load_model(model_file)
-    if saved.schema_fingerprint != schema.fingerprint():
-        raise FingerprintMismatch("model and dataset were built from different feature columns")
-    if saved.scaler is None:
-        raise CliError("model file carries no scaler; cannot normalize inputs")
-    if saved.model.n_features != width:
-        raise CliError(f"model file {model_file} takes {saved.model.n_features} features; "
-                       f"the data has {width} learnable columns")
+    if saved.feature_names != schema.learnable_names:
+        raise FingerprintMismatch(
+            f"model file {model_file} was trained on other feature columns: it takes "
+            f"{len(saved.feature_names)}, the data has {len(schema.learnable_names)} "
+            "learnable columns")
     return saved
 
 
@@ -310,7 +309,7 @@ def cmd_eval(args) -> int:
     dataset_name = Path(args.data).stem
 
     if args.model_file:
-        saved = _load_saved_model(st, args.model_file, schema, X.shape[1])
+        saved = _load_saved_model(st, args.model_file, schema)
         fold = _cli.evaluate_split(saved.model, saved.scaler, X, y,
                                    timing_rows=timing_rows, timing_repeats=timing_repeats)
         report = _cli.EvaluationReport(dataset_name=dataset_name, model_name=saved.kind,
@@ -348,7 +347,7 @@ def cmd_explain(args) -> int:
     background_size = st.get("background", 100, at_least(1))
     budget = st.get("budget", 2048, int)
     schema, X, _ = _read_labeled(args.data, both_classes=False)
-    saved = _load_saved_model(st, args.model_file, schema, X.shape[1])
+    saved = _load_saved_model(st, args.model_file, schema)
 
     explain_mod, np = _cli.explain_mod, _cli.np
 

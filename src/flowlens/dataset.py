@@ -23,6 +23,7 @@ import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
@@ -245,15 +246,15 @@ class MinMaxScaler:
         out[..., span == 0] = 0.0  # constant columns map to 0
         return np.clip(out, 0.0, 1.0, out=out)
 
+    @cached_property
+    def _row_params(self):
+        """:meth:`transform_row`'s per-column (min, span), and halving factors or None."""
+        h, mins, span = self._halved()
+        return list(zip(mins.tolist(), span.tolist())), h.tolist() if (h != 1.0).any() else None
+
     def transform_row(self, row) -> list[float]:
         """Single-sample path: plain Python beats array overhead at this width."""
-        params = getattr(self, "_row_params", None)
-        if params is None:
-            h, mins, span = self._halved()
-            params = (list(zip(mins.tolist(), span.tolist())),
-                      h.tolist() if (h != 1.0).any() else None)
-            self._row_params = params
-        columns, h = params
+        columns, h = self._row_params
         if len(row) != len(columns):
             raise ValueError(f"expected {len(columns)} values, got {len(row)}")
         if h is not None:

@@ -430,15 +430,10 @@ def tree_shap(
     and the background evaluated once. Without it, this call builds its own.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
-    if len(x) != forest.n_features:
-        raise ValueError("feature width mismatch between forest and x")
-    if not np.isfinite(x).all():
-        raise ValueError("explained row contains non-finite values")
+    predicted = forest.predict_proba_one(x)  # refuses a row of the wrong width or non-finite
     if plan is None:
         plan = compile_tree_shap(forest, background)
-    phi = plan.phi(x)
-    predicted = float(forest.predict_proba(x.reshape(1, -1))[0])
-    return Explanation(phi=phi, base_value=plan.base_value, predicted=predicted,
+    return Explanation(phi=plan.phi(x), base_value=plan.base_value, predicted=predicted,
                        method="tree")
 
 

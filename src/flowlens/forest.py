@@ -15,7 +15,8 @@ strict improvements (the reference in ``tests/test_forest.py``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,7 +164,6 @@ class Forest:
     trees: list[DecisionTree]
     params: ForestParams
     n_features: int
-    _fast: list | None = field(default=None, repr=False, compare=False)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -176,16 +176,12 @@ class Forest:
             acc += tree.predict_proba(X)
         return acc / len(self.trees)
 
-    def _fast_nodes(self) -> list:
+    @cached_property
+    def _node_lists(self) -> list:
         # Python-list copies of the node arrays: scalar indexing in the
         # single-sample path is much faster on lists than on ndarrays.
-        if self._fast is None:
-            self._fast = [
-                (t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
-                 t.right.tolist(), t.prob.tolist())
-                for t in self.trees
-            ]
-        return self._fast
+        return [(t.feature.tolist(), t.threshold.tolist(), t.left.tolist(),
+                 t.right.tolist(), t.prob.tolist()) for t in self.trees]
 
     def predict_proba_one(self, x) -> float:
         # Single-sample latency path: per-element conversion and finiteness
@@ -197,7 +193,7 @@ class Forest:
             if not math.isfinite(v):
                 raise ValueError("input contains non-finite values")
         total = 0.0
-        for feature, threshold, left, right, prob in self._fast_nodes():
+        for feature, threshold, left, right, prob in self._node_lists:
             i = 0
             f = feature[0]
             while f >= 0:

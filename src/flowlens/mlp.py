@@ -16,7 +16,7 @@ import numpy as np
 class MlpParams:
     hidden: tuple[int, ...] = (64, 32, 16)
     learning_rate: float = 0.05
-    epochs: int = 200
+    epochs: int = 60
     batch_size: int = 32
     seed: int = 0
 

@@ -1,14 +1,15 @@
 """Versioned JSON serialization for trained models.
 
 A model file carries the full structure (trees or weight matrices), the
-training hyperparameters, the min-max scaler fitted alongside it, and a hash
-of the feature columns it was trained on, so evaluation and explanation can
-run on saved models without the original dataset object, and refuse data
-built from other columns.
+training hyperparameters, the min-max scaler fitted alongside it, and the
+names and hash of the feature columns it was trained on, all required, so
+evaluation and explanation run on saved models without the original dataset
+object, and refuse data built from other columns.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,10 +29,9 @@ FORMAT_VERSION = 1
 @dataclass
 class SavedModel:
     model: Forest | Mlp
-    scaler: MinMaxScaler | None
-    feature_names: list[str] | None
+    scaler: MinMaxScaler
+    feature_names: list[str]  # the learnable columns, in order
     meta: dict
-    schema_fingerprint: str | None = None  # compared with the data's by the CLI
 
     @property
     def kind(self) -> str:
@@ -66,22 +66,20 @@ def _mlp_payload(mlp: Mlp) -> dict:
     }
 
 
-def save_model(
-    path: str | Path,
-    model: Forest | Mlp,
-    scaler: MinMaxScaler | None = None,
-    feature_names: list[str] | None = None,
-    meta: dict | None = None,
-    schema_fingerprint: str | None = None,
-):
+def _fingerprint(feature_names: list[str]) -> str:
+    """The ``schema_fingerprint`` a file stores: sha256 of its names, one a line."""
+    return hashlib.sha256("\n".join(feature_names).encode("utf-8")).hexdigest()
+
+
+def save_model(path: str | Path, model: Forest | Mlp, scaler: MinMaxScaler,
+               feature_names: list[str], meta: dict):
     doc: dict = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "schema_fingerprint": schema_fingerprint,
+        "schema_fingerprint": _fingerprint(feature_names),
         "feature_names": feature_names,
-        "meta": meta or {},
-        "scaler": None if scaler is None else {"mins": scaler.mins.tolist(),
-                                               "maxs": scaler.maxs.tolist()},
+        "meta": meta,
+        "scaler": {"mins": scaler.mins.tolist(), "maxs": scaler.maxs.tolist()},
     }
     if isinstance(model, Forest):
         doc["kind"] = "rf"
@@ -223,37 +221,34 @@ def load_model(path: str | Path) -> SavedModel:
     version = doc.get("version")
     if type(version) is not int or version != FORMAT_VERSION:  # true and 1.0 equal 1
         raise ModelFormatError(f"{path}: unsupported version {version!r}")
-    fingerprint = doc.get("schema_fingerprint")
-    if fingerprint is not None and not isinstance(fingerprint, str):
-        raise ModelFormatError(f"{path}: schema_fingerprint must be a string or null")
     loaders = {"rf": ("forest", _load_forest), "mlp": ("mlp", _load_mlp)}
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in loaders:
         raise ModelFormatError(f"{path}: unknown model kind {kind!r}")
     key, load = loaders[kind]
     try:
-        _require(doc, (key,), "model file")
+        _require(doc, (key, "scaler", "feature_names", "schema_fingerprint", "meta"), "model file")
         model = load(doc[key])
-        scaler = None
-        if doc.get("scaler") is not None:
-            _require(doc["scaler"], ("mins", "maxs"), "scaler")
-            scaler = MinMaxScaler(
-                mins=np.array(doc["scaler"]["mins"], dtype=float),
-                maxs=np.array(doc["scaler"]["maxs"], dtype=float),
-            )
-            if scaler.mins.shape != (model.n_features,) or scaler.maxs.shape != (model.n_features,):
-                raise ModelFormatError(f"scaler width differs from n_features={model.n_features}")
-            _require_finite("scaler", mins=scaler.mins, maxs=scaler.maxs)
-        names = doc.get("feature_names")
-        if names is not None and (not isinstance(names, list) or len(names) != model.n_features
-                                  or not all(isinstance(n, str) for n in names)):
+        _require(doc["scaler"], ("mins", "maxs"), "scaler")
+        scaler = MinMaxScaler(
+            mins=np.array(doc["scaler"]["mins"], dtype=float),
+            maxs=np.array(doc["scaler"]["maxs"], dtype=float),
+        )
+        if scaler.mins.shape != (model.n_features,) or scaler.maxs.shape != (model.n_features,):
+            raise ModelFormatError(f"scaler width differs from n_features={model.n_features}")
+        _require_finite("scaler", mins=scaler.mins, maxs=scaler.maxs)
+        names = doc["feature_names"]
+        if (not isinstance(names, list) or len(names) != model.n_features
+                or not all(isinstance(n, str) for n in names)):
             raise ModelFormatError(
-                f"feature_names must be null or a list of n_features={model.n_features} strings")
-        meta = doc.get("meta", {})
+                f"feature_names must be a list of n_features={model.n_features} strings")
+        if doc["schema_fingerprint"] != _fingerprint(names):
+            raise ModelFormatError("schema_fingerprint is not the hash of feature_names")
+        meta = doc["meta"]
         if not isinstance(meta, dict):
             raise ModelFormatError("meta is not an object")
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:  # wrong types, ragged, past int64
         raise ModelFormatError(f"{path}: malformed model: {exc}") from exc
-    return SavedModel(model, scaler, names, meta, fingerprint)
+    return SavedModel(model, scaler, names, meta)

@@ -8,7 +8,6 @@ paths, only the manifest and the corresponding entry in the feature builder.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -86,15 +85,6 @@ class FeatureSchema:
         """Schema containing only the learnable columns, order preserved."""
         cols = tuple(c for c in self.columns if c.kind == LEARNABLE)
         return FeatureSchema(self.name, self.version, cols)
-
-    def fingerprint(self) -> str:
-        """Hash of the learnable column names, in order.
-
-        Trained models store this so that a model and a dataset can be
-        checked for column compatibility before prediction or explanation.
-        """
-        joined = "\n".join(self.learnable_names)
-        return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 def _parse_manifest(text: str, fallback_name: str) -> FeatureSchema:

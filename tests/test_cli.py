@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from flowlens.cli import build_parser, main
 from flowlens.dataset import read_feature_csv, read_labeled_csv, read_labeled_matrix
 from flowlens.flows import assemble_flows
+from flowlens.forest import ForestParams
+from flowlens.mlp import MlpParams
 from flowlens.pcap import parse_pcap
 from flowlens.report import read_report_csv
 from flowlens.schema import SchemaError
@@ -304,6 +306,22 @@ def test_every_cli_flag_appears_in_help():
             for opt in action.option_strings:
                 if opt.startswith("--"):
                     assert opt in text
+
+
+def test_train_flag_defaults_are_the_params_defaults():
+    """Each ``(default N)`` in train's help is the default of the params
+    field the flag sets."""
+    fields = {"--trees": ForestParams.n_trees, "--max-depth": ForestParams.max_depth,
+              "--min-samples-split": ForestParams.min_samples_split,
+              "--hidden": ",".join(map(str, MlpParams.hidden)),
+              "--learning-rate": MlpParams.learning_rate, "--epochs": MlpParams.epochs,
+              "--batch-size": MlpParams.batch_size}
+    documented = {}
+    for action in dict(_subcommands())["train"]._actions:
+        default = re.search(r"\(default ([^)]+)\)", action.help or "")
+        if default and action.option_strings[-1] != "--seed":
+            documented[action.option_strings[-1]] = default.group(1)
+    assert documented == {flag: str(value) for flag, value in fields.items()}
 
 
 # (id, column, cell, exit code). "1_000" is a number to Python but not to
@@ -750,6 +768,23 @@ def _fingerprint_list(doc):
     doc["schema_fingerprint"] = [1]
 
 
+def _fingerprint_null(doc):
+    doc["schema_fingerprint"] = None
+
+
+def _fingerprint_disagrees(doc):
+    # a renamed column under the hash of the names it was trained on
+    doc["feature_names"][0] = "RENAMED"
+
+
+def _names_null(doc):
+    doc["feature_names"] = None
+
+
+def _meta_missing(doc):
+    del doc["meta"]
+
+
 def _n_features_true(doc):
     # true equals 1: with every split on feature 0 and a one-wide scaler, the
     # rest of the file agrees with it
@@ -765,24 +800,34 @@ def _n_features_float(doc):
     doc["mlp"]["n_features"] = float(doc["mlp"]["n_features"])  # equal to the weights' width
 
 
+def _names_hash(names):
+    return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
+
+
 def _n_features_40(doc):
     # a file that agrees with itself, one column wider than the data
     doc["forest"]["n_features"] = 40
     doc["feature_names"].append("EXTRA")
+    doc["schema_fingerprint"] = _names_hash(doc["feature_names"])
     for key in ("mins", "maxs"):
         doc["scaler"][key].append(0.0)
 
 
-@pytest.mark.parametrize("model_key, corrupt, words", [
-    pytest.param("model", corrupt, (), id=corrupt.__name__)
+@pytest.mark.parametrize("model_key, corrupt, code, words", [
+    pytest.param("model", corrupt, 2, (), id=corrupt.__name__)
     for corrupt in (_count_past_int64, _kind_object, _every_leaf_prob_5, _version_true,
-                    _version_float, _fingerprint_list, _n_features_true)
+                    _version_float, _fingerprint_list, _fingerprint_null, _fingerprint_disagrees,
+                    _names_null, _meta_missing, _n_features_true)
 ] + [
-    pytest.param("mlp", _n_features_float, (), id="_mlp_n_features_float"),
-    pytest.param("model", _n_features_40, ("40 features", "39 learnable columns"),
+    pytest.param("mlp", _n_features_float, 2, (), id="_mlp_n_features_float"),
+    pytest.param("model", _n_features_40, 3, ("takes 40", "has 39 learnable columns"),
                  id="_n_features_40"),
 ])
-def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, model_key, corrupt, words):
+def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, model_key, corrupt, code,
+                                      words):
+    """A file ``train`` could not have written exits 2; one that agrees with
+    itself but was trained on other feature columns exits 3. Either way the
+    message names the file and nothing is written."""
     doc = json.loads(pipeline[model_key].read_text(encoding="utf-8"))
     corrupt(doc)
     model = tmp_path / "bad_model.json"
@@ -792,7 +837,7 @@ def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, model_key, cor
         out = tmp_path / stage
         capsys.readouterr()
         assert main([stage, "--data", data, "--model-file", str(model),
-                     "--out-dir", str(out)]) == 2
+                     "--out-dir", str(out)]) == code
         err = capsys.readouterr().err
         assert str(model) in err
         for word in words:
@@ -993,12 +1038,15 @@ def _train_params(kind, params, tmp):
 def _assert_closed(kind, doc, tmp):
     """What a file eval or explain accept must hold beyond its structure: tree
     counts that add up, the params ``train`` makes of the same settings, a
-    name for each feature or none, a meta object and finite losses."""
+    name for each feature and their hash, a scaler, a meta object and finite
+    losses."""
     payload = doc["forest" if kind == "rf" else "mlp"]
-    names = doc.get("feature_names")
-    assert names is None or (isinstance(names, list) and len(names) == payload["n_features"]
-                             and all(isinstance(name, str) for name in names))
-    assert isinstance(doc.get("meta", {}), dict)
+    names = doc["feature_names"]
+    assert isinstance(names, list) and len(names) == payload["n_features"]
+    assert all(isinstance(name, str) for name in names)
+    assert doc["schema_fingerprint"] == _names_hash(names)
+    assert isinstance(doc["scaler"], dict)
+    assert isinstance(doc["meta"], dict)
     for loss in payload.get("loss_history", []):
         assert type(loss) in (int, float) and math.isfinite(loss)
     for tree in payload.get("trees", []):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowlens.dataset import MinMaxScaler
 from flowlens.forest import Forest, ForestParams, _TreeBuilder, train_forest
 from flowlens.model_io import save_model
 
@@ -80,7 +81,9 @@ def test_nonfinite_training_data_rejected(bad):
 
 def _serialize(forest, tmp_path, name):
     path = tmp_path / name
-    save_model(path, forest)
+    scaler = MinMaxScaler(mins=np.zeros(forest.n_features), maxs=np.ones(forest.n_features))
+    save_model(path, forest, scaler=scaler,
+               feature_names=[f"f{j}" for j in range(forest.n_features)], meta={})
     return path.read_bytes()
 
 

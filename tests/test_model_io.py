@@ -24,17 +24,24 @@ def _data(seed=0, n=50, p=4):
     return X, y
 
 
+def _save(path, model, X):
+    """Save ``model`` as ``train`` would, with the scaler of ``X`` and a
+    name for each of its columns."""
+    save_model(path, model, scaler=MinMaxScaler.fit(X),
+               feature_names=[f"f{j}" for j in range(X.shape[1])], meta={"seed": 0})
+
+
 def test_forest_round_trip(tmp_path):
     X, y = _data()
     forest = train_forest(X, y, ForestParams(n_trees=6, max_depth=4, seed=3))
     scaler = MinMaxScaler.fit(X)
     path = tmp_path / "f.json"
     save_model(path, forest, scaler=scaler, feature_names=["a", "b", "c", "d"],
-               meta={"config_hash": "x", "seed": 3}, schema_fingerprint="fp")
+               meta={"config_hash": "x", "seed": 3})
     saved = load_model(path)
     assert saved.kind == "rf"
-    assert saved.schema_fingerprint == "fp"
     assert saved.feature_names == ["a", "b", "c", "d"]
+    assert saved.meta == {"config_hash": "x", "seed": 3}
     assert np.allclose(saved.model.predict_proba(X), forest.predict_proba(X))
     assert np.allclose(saved.scaler.mins, scaler.mins)
     assert saved.model.params == forest.params
@@ -44,10 +51,10 @@ def test_mlp_round_trip(tmp_path):
     X, y = _data(seed=1)
     mlp = train_mlp(X, y, MlpParams(hidden=(5, 3), epochs=10, seed=2))
     path = tmp_path / "m.json"
-    save_model(path, mlp, schema_fingerprint="fp2")
+    _save(path, mlp, X)
     saved = load_model(path)
     assert saved.kind == "mlp"
-    assert saved.schema_fingerprint == "fp2"
+    assert saved.feature_names == ["f0", "f1", "f2", "f3"]
     assert np.allclose(saved.model.predict_proba(X), mlp.predict_proba(X))
     assert saved.model.params == mlp.params
     assert saved.model.loss_history == mlp.loss_history
@@ -56,8 +63,8 @@ def test_mlp_round_trip(tmp_path):
 def test_serialization_bit_identical_for_fixed_seed(tmp_path):
     X, y = _data(seed=2)
     p1, p2 = tmp_path / "1.json", tmp_path / "2.json"
-    save_model(p1, train_forest(X, y, ForestParams(n_trees=4, seed=9)))
-    save_model(p2, train_forest(X, y, ForestParams(n_trees=4, seed=9)))
+    _save(p1, train_forest(X, y, ForestParams(n_trees=4, seed=9)), X)
+    _save(p2, train_forest(X, y, ForestParams(n_trees=4, seed=9)), X)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -75,7 +82,7 @@ def _saved_doc(tmp_path, kind):
     else:
         model = train_mlp(X, y, MlpParams(hidden=(5, 3), epochs=2, seed=1))
     path = tmp_path / f"{kind}.json"
-    save_model(path, model, scaler=MinMaxScaler.fit(X))
+    _save(path, model, X)
     return path, json.loads(path.read_text())
 
 
@@ -300,9 +307,9 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, params, data_seed):
     tmp = tmp_path_factory.mktemp("model")
     first, second = tmp / "first.json", tmp / "second.json"
     save_model(first, model, scaler=MinMaxScaler.fit(X), feature_names=["a", "b", "c"],
-               meta={"config_hash": "x", "seed": data_seed}, schema_fingerprint="fp")
+               meta={"config_hash": "x", "seed": data_seed})
     saved = load_model(first)
     assert saved.model.params == params
     save_model(second, saved.model, scaler=saved.scaler, feature_names=saved.feature_names,
-               meta=saved.meta, schema_fingerprint=saved.schema_fingerprint)
+               meta=saved.meta)
     assert second.read_bytes() == first.read_bytes()
