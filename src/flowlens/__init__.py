@@ -16,10 +16,9 @@ _EXPORTS = {
     "LabeledDataset": "dataset", "MinMaxScaler": "dataset",
     "drop_identifiers": "dataset", "kfold_split": "dataset",
     "label_table": "dataset",
-    "ConfusionMatrix": "evaluation", "EvaluationReport": "evaluation",
-    "ModelSpec": "evaluation", "binary_metrics": "evaluation",
+    "EvaluationReport": "evaluation", "binary_metrics": "evaluation",
     "crossval_evaluate": "evaluation", "measure_prediction_time": "evaluation",
-    "roc_auc": "evaluation",
+    "roc_auc": "evaluation", "train_model": "evaluation",
     "CoalitionValueFunction": "explain", "Explanation": "explain",
     "GlobalRanking": "explain", "compile_tree_shap": "explain",
     "exact_shapley": "explain", "explain_samples": "explain",

@@ -41,9 +41,9 @@ _LAZY = {
     "explain_mod": (".explain", None),
     "report_mod": (".report", None),
     "EvaluationReport": (".evaluation", "EvaluationReport"),
-    "ModelSpec": (".evaluation", "ModelSpec"),
     "crossval_evaluate": (".evaluation", "crossval_evaluate"),
     "evaluate_split": (".evaluation", "evaluate_split"),
+    "train_model": (".evaluation", "train_model"),
     "ForestParams": (".forest", "ForestParams"),
     "DivergenceError": (".mlp", "DivergenceError"),
     "MlpParams": (".mlp", "MlpParams"),
@@ -86,7 +86,10 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     config = {}
-    text = _require_file(path, "config file").read_text(encoding="utf-8")
+    try:
+        text = _require_file(path, "config file").read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.strip()
         if not body or body.startswith("#"):
@@ -226,7 +229,9 @@ def _read_labeled(path: str, both_classes: bool) -> tuple[FeatureSchema, np.ndar
     return schema, X, y
 
 
-def _model_spec(st: Settings, seed: int) -> ModelSpec:
+def _model_params(st: Settings, seed: int) -> ForestParams | MlpParams:
+    """The params of the ``--model`` kind. Every model setting is read, and
+    hashed into provenance, whichever kind it is."""
     kind = st.args.model
     st.effective["model"] = kind
     ForestParams, MlpParams = _cli.ForestParams, _cli.MlpParams
@@ -247,7 +252,7 @@ def _model_spec(st: Settings, seed: int) -> ModelSpec:
         batch_size=st.get("batch_size", MlpParams.batch_size, MLP_RULES["batch_size"]),
         seed=seed,
     )
-    return _cli.ModelSpec(kind=kind, forest_params=forest, mlp_params=mlp)
+    return forest if kind == "rf" else mlp
 
 
 @contextmanager
@@ -264,14 +269,14 @@ def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
     schema, X_raw, y = _read_labeled(args.data, both_classes=True)
-    spec = _model_spec(st, seed)
+    params = _model_params(st, seed)
 
     scaler = ds_mod.MinMaxScaler.fit(X_raw)
     with _learning_rate_blamed(st):
-        model = spec.train(scaler.transform(X_raw), y)
+        model = _cli.train_model(scaler.transform(X_raw), y, params)
     _cli.save_model(args.out, model, scaler=scaler,
                     feature_names=schema.learnable_names, meta=st.provenance())
-    print(f"trained {spec.kind} on {len(X_raw)} rows -> {args.out}")
+    print(f"trained {args.model} on {len(X_raw)} rows -> {args.out}")
     return EXIT_OK
 
 
@@ -324,14 +329,14 @@ def cmd_eval(args) -> int:
         if k > rare:
             raise CliError(f"setting folds={k}: must be at most {rare}, "
                            f"the rows of the rarer class in {args.data}")
-        spec = _model_spec(st, seed)
+        params = _model_params(st, seed)
         with _learning_rate_blamed(st):
             report = _cli.crossval_evaluate(
-                X, y, spec, k=k, seed=seed, dataset_name=dataset_name,
+                X, y, params, k=k, seed=seed, dataset_name=dataset_name,
                 timing_rows=timing_rows, timing_repeats=timing_repeats,
                 feature_set=schema.name,
             )
-        stem = f"{dataset_name}_{spec.kind}"
+        stem = f"{dataset_name}_{args.model}"
     _write_report_files(_out_dir(args.out_dir), stem, report, st.provenance())
     means = report.means()
     print(f"{stem}: mean f1={means['f1']:.4f} dr={means['dr']:.4f} "
@@ -356,10 +361,10 @@ def cmd_explain(args) -> int:
     if method == "tree" and saved.kind != "rf":
         raise CliError("setting method=tree: needs a forest model, the model is an MLP")
     if method == "kernel":
-        p = saved.model.n_features
-        low = explain_mod.min_coalition_budget(p)
-        if budget < low:
-            raise CliError(f"setting budget={budget}: must be at least {low} for {p} features")
+        try:
+            explain_mod.check_coalition_budget(budget, saved.model.n_features)
+        except ValueError as exc:
+            raise CliError(f"setting budget={budget}: {exc}") from exc
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     bg_idx = rng.choice(len(X), size=min(background_size, len(X)), replace=False)
@@ -507,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attribution engine (default: tree for forests, kernel otherwise)")
     p.add_argument("--samples", type=int, help="rows to explain (default 500)")
     p.add_argument("--background", type=int, help="background set size (default 100)")
-    p.add_argument("--budget", help="kernel coalition budget (default 2048)")
+    p.add_argument("--budget", help="kernel coalition budget, from the feature count plus 2 "
+                                    "to 1048576 (default 2048)")
     p.add_argument("--out-dir", required=True, help="directory for explanation artifacts")
     p.set_defaults(func=cmd_explain)
 
@@ -532,7 +538,7 @@ def main(argv=None) -> int:
     except FingerprintMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except (FileNotFoundError, PcapFormatError, SchemaError, ModelFormatError) as exc:
+    except (OSError, PcapFormatError, SchemaError, ModelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything unexpected

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,45 +22,26 @@ from . import dataset as _dataset
 THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
+def binary_metrics(y_true: Sequence[int], y_pred: Sequence[int]) -> dict[str, float]:
+    """Accuracy, F1, DR and FAR of 0/1 predictions against 0/1 labels."""
     y_true = np.asarray(y_true, dtype=int)
     y_pred = np.asarray(y_pred, dtype=int)
-    return ConfusionMatrix(
-        tp=int(np.sum((y_true == 1) & (y_pred == 1))),
-        fp=int(np.sum((y_true == 0) & (y_pred == 1))),
-        tn=int(np.sum((y_true == 0) & (y_pred == 0))),
-        fn=int(np.sum((y_true == 1) & (y_pred == 0))),
-    )
-
-
-def binary_metrics(cm: ConfusionMatrix) -> dict[str, float]:
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
+    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
+    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
+    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
+    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
+    total = tp + fp + tn + fn
+    if total == 0:
+        raise ValueError("no predictions to score")
 
     def ratio(num: int, den: int) -> float:
         return num / den if den else 0.0
 
     return {
-        "accuracy": (cm.tp + cm.tn) / cm.total,
-        "f1": ratio(2 * cm.tp, 2 * cm.tp + cm.fp + cm.fn),
-        "dr": ratio(cm.tp, cm.tp + cm.fn),
-        "far": ratio(cm.fp, cm.fp + cm.tn),
+        "accuracy": (tp + tn) / total,
+        "f1": ratio(2 * tp, 2 * tp + fp + fn),
+        "dr": ratio(tp, tp + fn),
+        "far": ratio(fp, fp + tn),
     }
 
 
@@ -111,20 +92,11 @@ def measure_prediction_time(
 
 # --- cross-validated evaluation ----------------------------------------------
 
-@dataclass
-class ModelSpec:
-    """What to train per fold: ``kind`` is "rf" or "mlp"."""
-
-    kind: str
-    forest_params: ForestParams = field(default_factory=ForestParams)
-    mlp_params: MlpParams = field(default_factory=MlpParams)
-
-    def train(self, X: np.ndarray, y: np.ndarray) -> Forest | Mlp:
-        if self.kind == "rf":
-            return train_forest(X, y, self.forest_params)
-        if self.kind == "mlp":
-            return train_mlp(X, y, self.mlp_params)
-        raise ValueError(f"unknown model kind {self.kind!r}")
+def train_model(X: np.ndarray, y: np.ndarray, params: ForestParams | MlpParams) -> Forest | Mlp:
+    """Train the model that ``params`` describe: a forest or an MLP."""
+    if isinstance(params, ForestParams):
+        return train_forest(X, y, params)
+    return train_mlp(X, y, params)
 
 
 METRIC_NAMES = ("accuracy", "f1", "dr", "far", "auc", "prediction_time_micros")
@@ -174,8 +146,7 @@ def evaluate_split(
     X_test = scaler.transform(X_test_raw)
     probs = model.predict_proba(X_test)
     preds = (probs >= THRESHOLD).astype(int)
-    cm = confusion(y_test, preds)
-    m = binary_metrics(cm)
+    m = binary_metrics(y_test, preds)
     auc = roc_auc(y_test, probs)
 
     def predict_raw(row) -> float:
@@ -191,7 +162,7 @@ def evaluate_split(
 def crossval_evaluate(
     X: np.ndarray,
     y: np.ndarray,
-    spec: ModelSpec,
+    params: ForestParams | MlpParams,
     k: int = 5,
     seed: int = 0,
     dataset_name: str = "dataset",
@@ -200,7 +171,8 @@ def crossval_evaluate(
     feature_set: str = "",
 ) -> EvaluationReport:
     """Per fold of the raw matrix ``X`` and its 0/1 labels ``y``: fit the
-    scaler on the training split only, train, evaluate.
+    scaler on the training split only, train the model ``params`` describe,
+    evaluate.
 
     Folds run serially so the timing phase never competes for the CPU.
     """
@@ -208,7 +180,7 @@ def crossval_evaluate(
     for fold, (train_idx, test_idx) in enumerate(_dataset.kfold_split(y, k=k, seed=seed)):
         scaler = MinMaxScaler.fit(X[train_idx])
         try:
-            model = spec.train(scaler.transform(X[train_idx]), y[train_idx])
+            model = train_model(scaler.transform(X[train_idx]), y[train_idx], params)
         except DivergenceError as exc:
             raise DivergenceError(f"fold {fold}: {exc}") from exc
         except Exception as exc:
@@ -217,5 +189,6 @@ def crossval_evaluate(
             evaluate_split(model, scaler, X[test_idx], y[test_idx], fold=fold,
                            timing_rows=timing_rows, timing_repeats=timing_repeats)
         )
-    return EvaluationReport(dataset_name=dataset_name, model_name=spec.kind,
+    model_name = "rf" if isinstance(params, ForestParams) else "mlp"
+    return EvaluationReport(dataset_name=dataset_name, model_name=model_name,
                             seed=seed, k=k, folds=folds, feature_set=feature_set)

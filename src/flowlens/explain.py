@@ -208,41 +208,32 @@ def _sample_coalitions(
     return _unpack(np.array(masks, dtype=np.int64), p), np.array(weights)
 
 
-def min_coalition_budget(p: int) -> int:
-    """The smallest kernel SHAP budget over ``p`` features: the empty and
-    full coalitions, and one more value evaluation per feature."""
-    return p + 2
+def check_coalition_budget(budget: int, p: int) -> None:
+    """Refuse a kernel SHAP budget over ``p`` features that is below the
+    empty and full coalitions plus one value evaluation per feature, or above
+    the coalitions exact enumeration may evaluate (``2**EXACT_FEATURE_LIMIT``)."""
+    if budget < p + 2:
+        raise ValueError(f"must be at least {p + 2} for {p} features")
+    if budget > 1 << EXACT_FEATURE_LIMIT:
+        raise ValueError(f"must be at most {1 << EXACT_FEATURE_LIMIT}")
 
 
-def kernel_shap(
-    vf: CoalitionValueFunction,
-    coalition_budget: int | str = "full",
-    seed: int = 0,
-) -> Explanation:
+def kernel_shap(vf: CoalitionValueFunction, coalition_budget: int, seed: int = 0) -> Explanation:
     """Weighted least-squares fit of an additive surrogate over coalitions.
 
     The fit is constrained so the intercept equals the background mean and the
     contributions sum to the prediction gap. ``coalition_budget`` counts value
-    evaluations including the empty and full coalitions; ``"full"`` enumerates
-    everything (and then agrees with exact enumeration).
+    evaluations including the empty and full coalitions; a budget of ``2**p``
+    or more enumerates everything (and then agrees with exact enumeration).
     """
     p = vf.p
-    if coalition_budget == "full":
-        if p > EXACT_FEATURE_LIMIT:
-            raise ValueError(f"full enumeration infeasible for p={p}")
-        budget = (1 << p)  # everything
-    else:
-        budget = int(coalition_budget)
-        low = min_coalition_budget(p)
-        if budget < low:
-            raise ValueError(f"coalition budget {budget} below minimum {low}")
-
+    check_coalition_budget(coalition_budget, p)
     base = vf.base_value()
     fx = vf.full_value()
     delta = fx - base
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    coalitions, weights = _sample_coalitions(p, budget, rng)
+    coalitions, weights = _sample_coalitions(p, coalition_budget, rng)
     vals = vf.values_for_masks(coalitions)
 
     Z = coalitions.astype(float)
@@ -485,7 +476,7 @@ def explain_samples(
     X_explain: np.ndarray,
     background: np.ndarray,
     method: str,
-    coalition_budget: int | str = 2048,
+    coalition_budget: int = 2048,
     seed: int = 0,
 ) -> list[Explanation]:
     """Explain each row of ``X_explain`` with the chosen engine. The tree

@@ -214,8 +214,8 @@ def load_model(path: str | Path) -> SavedModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ModelFormatError(f"{path}: not UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     version = doc.get("version")

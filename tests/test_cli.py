@@ -573,7 +573,8 @@ def test_report_top_k_below_1_exits_2(tmp_path, capsys):
 
 def test_kernel_budget_below_minimum_exits_2_naming_it(pipeline, tmp_path, capsys):
     """Kernel SHAP needs the empty and full coalitions plus one value per
-    feature: a budget below that is an input error, and the minimum runs."""
+    feature, and evaluates at most the 2**20 coalitions of exact enumeration:
+    a budget outside that is an input error, and the minimum runs."""
     data = pipeline["labeled"]["netflow_v2"]
     minimum = len(read_labeled_csv(data)[0].schema.learnable_names) + 2
     command = ["explain", "--data", str(data), "--model-file", str(pipeline["model"]),
@@ -584,6 +585,11 @@ def test_kernel_budget_below_minimum_exits_2_naming_it(pipeline, tmp_path, capsy
     assert (f"setting budget={minimum - 1}: must be at least {minimum}"
             in capsys.readouterr().err)
     assert not out.exists()
+    for budget in (2**20 + 1, 2**39):  # 2**39 once asked numpy for 4 TiB
+        assert main(command + ["--budget", str(budget), "--out-dir", str(out)]) == 2
+        assert (f"setting budget={budget}: must be at most 1048576"
+                in capsys.readouterr().err)
+        assert not out.exists()
     assert main(command + ["--budget", str(minimum), "--out-dir", str(out)]) == 0
 
 
@@ -743,6 +749,45 @@ def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
     assert not out.exists()
 
 
+# Every output flag given a path that cannot be written (a directory for
+# --out, an existing file for --out-dir), and a config file that is not
+# UTF-8 text: the path the message must name, and the command.
+UNWRITABLE = {
+    "synth": ("file", ["synth", "--out-dir", "{file}"]),
+    "extract": ("dir", ["extract", "--pcap", "{pcap}", "--schema", "cic", "--out", "{dir}"]),
+    "label": ("dir", ["label", "--features", "{features}", "--events", "{events}",
+                      "--out", "{dir}"]),
+    "train": ("dir", ["train", "--data", "{labeled}", "--model", "rf", "--trees", "2",
+                      "--out", "{dir}"]),
+    "eval": ("file", ["eval", "--data", "{labeled}", "--model-file", "{model}",
+                      "--timing-rows", "2", "--timing-repeats", "1", "--out-dir", "{file}"]),
+    "explain": ("file", ["explain", "--data", "{labeled}", "--model-file", "{model}",
+                         "--samples", "1", "--background", "2", "--out-dir", "{file}"]),
+    "report": ("file", ["report", "--rankings", "{ranking}", "--out-dir", "{file}"]),
+    "config": ("config", ["synth", "--config", "{config}", "--out-dir", "{dir}"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unusable_path_exits_2_naming_it(pipeline, tmp_path, capsys, case):
+    named, argv = UNWRITABLE[case]
+    paths = {"file": tmp_path / "taken.txt", "dir": tmp_path / "taken",
+             "config": tmp_path / "run.conf", "ranking": tmp_path / "ranking.csv",
+             "pcap": pipeline["pcap"], "events": pipeline["events"],
+             "features": pipeline["features"]["netflow_v2"],
+             "labeled": pipeline["labeled"]["netflow_v2"], "model": pipeline["model"]}
+    paths["file"].write_text("kept\n")
+    paths["dir"].mkdir()
+    paths["config"].write_bytes(b"seed=\xff\n")
+    if case == "report":
+        paths["ranking"].write_text(_ranking_csv(pipeline, tmp_path))
+    capsys.readouterr()
+    assert main(_fill(argv, **paths)) == 2
+    assert str(paths[named]) in capsys.readouterr().err
+    assert paths["file"].read_text() == "kept\n"
+    assert not any(paths["dir"].iterdir())
+
+
 def _count_past_int64(doc):
     doc["forest"]["trees"][0]["count"][0] = 10**30
 
@@ -804,6 +849,10 @@ def _names_hash(names):
     return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
 
 
+def _not_utf8(doc):
+    return b"\xff\xfe{}"
+
+
 def _n_features_40(doc):
     # a file that agrees with itself, one column wider than the data
     doc["forest"]["n_features"] = 40
@@ -817,7 +866,7 @@ def _n_features_40(doc):
     pytest.param("model", corrupt, 2, (), id=corrupt.__name__)
     for corrupt in (_count_past_int64, _kind_object, _every_leaf_prob_5, _version_true,
                     _version_float, _fingerprint_list, _fingerprint_null, _fingerprint_disagrees,
-                    _names_null, _meta_missing, _n_features_true)
+                    _names_null, _meta_missing, _n_features_true, _not_utf8)
 ] + [
     pytest.param("mlp", _n_features_float, 2, (), id="_mlp_n_features_float"),
     pytest.param("model", _n_features_40, 3, ("takes 40", "has 39 learnable columns"),
@@ -827,11 +876,12 @@ def test_malformed_model_file_exits_2(pipeline, tmp_path, capsys, model_key, cor
                                       words):
     """A file ``train`` could not have written exits 2; one that agrees with
     itself but was trained on other feature columns exits 3. Either way the
-    message names the file and nothing is written."""
+    message names the file and nothing is written. A ``corrupt`` that returns
+    bytes gives the whole file."""
     doc = json.loads(pipeline[model_key].read_text(encoding="utf-8"))
-    corrupt(doc)
+    raw = corrupt(doc) or json.dumps(doc).encode("utf-8")
     model = tmp_path / "bad_model.json"
-    model.write_text(json.dumps(doc), encoding="utf-8")
+    model.write_bytes(raw)
     data = str(pipeline["labeled"]["netflow_v2"])
     for stage in ("eval", "explain"):
         out = tmp_path / stage
@@ -1029,10 +1079,10 @@ def _train_params(kind, params, tmp):
                                       "--config", str(conf)])
     try:
         given_settings = cli.Settings(args)
-        spec = cli._model_spec(given_settings, given_settings.seed())
+        params = cli._model_params(given_settings, given_settings.seed())
     except cli.CliError:
         return None
-    return vars(spec.forest_params if kind == "rf" else spec.mlp_params)
+    return vars(params)
 
 
 def _assert_closed(kind, doc, tmp):

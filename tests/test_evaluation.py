@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowlens.dataset import FeatureTable, LabeledDataset
-from flowlens.evaluation import (ConfusionMatrix, ModelSpec, binary_metrics,
-                                 confusion, crossval_evaluate,
+from flowlens.evaluation import (binary_metrics, crossval_evaluate,
                                  measure_prediction_time, roc_auc)
 from flowlens.forest import ForestParams
 from flowlens.report import format_metrics, render_metrics_table
@@ -26,13 +25,20 @@ def pairwise_auc(labels, scores):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def counted(tp=0, fp=0, tn=0, fn=0):
+    """Labels and predictions with the given confusion counts."""
+    y_true = [1] * tp + [0] * fp + [0] * tn + [1] * fn
+    y_pred = [1] * tp + [1] * fp + [0] * tn + [0] * fn
+    return y_true, y_pred
+
+
 def test_perfect_classifier_metrics():
-    m = binary_metrics(ConfusionMatrix(tp=4, fp=0, tn=6, fn=0))
+    m = binary_metrics(*counted(tp=4, fp=0, tn=6, fn=0))
     assert m == {"accuracy": 1.0, "f1": 1.0, "dr": 1.0, "far": 0.0}
 
 
 def test_mixed_confusion_metrics():
-    m = binary_metrics(ConfusionMatrix(tp=3, fn=1, fp=1, tn=5))
+    m = binary_metrics(*counted(tp=3, fn=1, fp=1, tn=5))
     assert m["dr"] == 0.75
     assert m["far"] == pytest.approx(1 / 6)
     assert m["f1"] == 0.75
@@ -40,10 +46,12 @@ def test_mixed_confusion_metrics():
 
 
 def test_zero_denominator_conventions():
-    m = binary_metrics(ConfusionMatrix(tp=0, fn=0, fp=0, tn=5))
+    m = binary_metrics(*counted(tp=0, fn=0, fp=0, tn=5))
     assert m["dr"] == 0.0 and m["f1"] == 0.0
-    m = binary_metrics(ConfusionMatrix(tp=5, fn=0, fp=0, tn=0))
+    m = binary_metrics(*counted(tp=5, fn=0, fp=0, tn=0))
     assert m["far"] == 0.0
+    with pytest.raises(ValueError, match="no predictions"):
+        binary_metrics([], [])
 
 
 def test_f1_identity_against_precision_recall():
@@ -52,7 +60,7 @@ def test_f1_identity_against_precision_recall():
         tp, fp, tn, fn = (int(v) for v in rng.integers(0, 30, 4))
         if tp + fp + tn + fn == 0:
             continue
-        m = binary_metrics(ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn))
+        m = binary_metrics(*counted(tp=tp, fp=fp, tn=tn, fn=fn))
         if tp + fp and tp + fn and tp:
             precision = tp / (tp + fp)
             expected = 2 * precision * m["dr"] / (precision + m["dr"])
@@ -60,9 +68,9 @@ def test_f1_identity_against_precision_recall():
 
 
 def test_confusion_from_predictions():
-    cm = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-    assert (cm.tp, cm.fn, cm.fp, cm.tn) == (2, 1, 1, 1)
-    assert cm.total == 5
+    # tp=2, fn=1, fp=1, tn=1
+    m = binary_metrics([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+    assert m == {"accuracy": 3 / 5, "f1": 4 / 6, "dr": 2 / 3, "far": 1 / 2}
 
 
 def test_auc_all_ties_is_half():
@@ -163,8 +171,8 @@ def test_accuracy_invariant_under_row_permutation():
     y = rng.integers(0, 2, 40)
     p = rng.integers(0, 2, 40)
     perm = rng.permutation(40)
-    a1 = binary_metrics(confusion(y, p))["accuracy"]
-    a2 = binary_metrics(confusion(y[perm], p[perm]))["accuracy"]
+    a1 = binary_metrics(y, p)["accuracy"]
+    a2 = binary_metrics(y[perm], p[perm])["accuracy"]
     assert a1 == a2
 
 
@@ -212,29 +220,32 @@ def _toy_dataset(n=60, seed=0):
 
 def test_crossval_separable_is_perfect():
     ds = _toy_dataset()
-    spec = ModelSpec("rf", forest_params=ForestParams(n_trees=15, max_depth=4, seed=2))
-    report = crossval_evaluate(ds.X(), ds.y(), spec, k=5, seed=1, dataset_name="toy",
+    params = ForestParams(n_trees=15, max_depth=4, seed=2)
+    report = crossval_evaluate(ds.X(), ds.y(), params, k=5, seed=1, dataset_name="toy",
                                timing_rows=16, timing_repeats=1)
     assert report.mean("accuracy") == 1.0
     assert report.mean("far") == 0.0
     assert report.mean("auc") == 1.0
     assert len(report.folds) == 5
+    assert report.model_name == "rf"
 
 
 def test_crossval_deterministic_metrics():
     ds = _toy_dataset(seed=3)
-    spec = ModelSpec("rf", forest_params=ForestParams(n_trees=10, max_depth=4, seed=2))
-    r1 = crossval_evaluate(ds.X(), ds.y(), spec, k=5, seed=4, timing_rows=8, timing_repeats=1)
-    r2 = crossval_evaluate(ds.X(), ds.y(), spec, k=5, seed=4, timing_rows=8, timing_repeats=1)
+    params = ForestParams(n_trees=10, max_depth=4, seed=2)
+    r1 = crossval_evaluate(ds.X(), ds.y(), params, k=5, seed=4, timing_rows=8, timing_repeats=1)
+    r2 = crossval_evaluate(ds.X(), ds.y(), params, k=5, seed=4, timing_rows=8, timing_repeats=1)
     for m in ("accuracy", "f1", "dr", "far", "auc"):
         assert [getattr(f, m) for f in r1.folds] == [getattr(f, m) for f in r2.folds]
 
 
 def test_crossval_training_error_carries_fold_index():
     ds = _toy_dataset(n=12, seed=5)
-    spec = ModelSpec("bogus")
-    with pytest.raises(RuntimeError, match="fold 0"):
-        crossval_evaluate(ds.X(), ds.y(), spec, k=3, seed=0, timing_rows=4, timing_repeats=1)
+    X = ds.X()
+    X[:, 1] = np.nan  # scales to NaN, which the forest refuses
+    with pytest.raises(RuntimeError, match="fold 0: input contains non-finite values"):
+        crossval_evaluate(X, ds.y(), ForestParams(n_trees=2), k=3, seed=0, timing_rows=4,
+                          timing_repeats=1)
 
 
 # --- rendering fixture -----------------------------------------------------------

@@ -163,9 +163,17 @@ def test_kernel_full_equals_exact():
         forest, x, B = random_forest_instance(RNG, p=int(RNG.integers(2, 9)))
         vf = CoalitionValueFunction(forest.predict_proba, x, B)
         exact = exact_shapley(vf)
-        kernel = kernel_shap(vf, "full")
+        kernel = kernel_shap(vf, 1 << vf.p)
         assert np.max(np.abs(kernel.phi - exact.phi)) <= 1e-6
         assert kernel.additivity_gap() <= 1e-6
+
+
+def test_kernel_largest_budget_enumerates_everything():
+    rng = np.random.Generator(np.random.PCG64(5))
+    forest, x, B = random_forest_instance(rng, p=5)
+    vf = CoalitionValueFunction(forest.predict_proba, x, B)
+    kernel = kernel_shap(vf, 1 << 20)
+    assert np.max(np.abs(kernel.phi - exact_shapley(vf).phi)) <= 1e-6
 
 
 def test_kernel_recovers_linear_model_at_modest_budget():
@@ -182,10 +190,14 @@ def test_kernel_recovers_linear_model_at_modest_budget():
 
 
 def test_kernel_budget_below_minimum_rejected():
-    p = 5
-    vf = CoalitionValueFunction(linear_model(np.ones(p)), np.ones(p), np.zeros((1, p)))
-    with pytest.raises(ValueError, match="budget"):
-        kernel_shap(vf, p + 1)
+    """A budget outside [p + 2, 2**20] is refused, the top at any p."""
+    for p in (5, 39):
+        vf = CoalitionValueFunction(linear_model(np.ones(p)), np.ones(p), np.zeros((1, p)))
+        with pytest.raises(ValueError, match=f"must be at least {p + 2} for {p} features"):
+            kernel_shap(vf, p + 1)
+        for budget in ((1 << 20) + 1, 1 << 39):
+            with pytest.raises(ValueError, match="must be at most 1048576"):
+                kernel_shap(vf, budget)
 
 
 def test_kernel_non_finite_model_values_rejected():
@@ -226,7 +238,7 @@ def test_value_batches_do_not_change_phi(monkeypatch):
     forest = train_forest(X, y, ForestParams(n_trees=4, max_depth=5, seed=2))
     models = {"mlp": mlp, "forest": forest}
     x, B = rng.random(8), rng.random((5, 8))
-    engines = {"exact": exact_shapley, "kernel full": lambda vf: kernel_shap(vf, "full"),
+    engines = {"exact": exact_shapley, "kernel full": lambda vf: kernel_shap(vf, 1 << vf.p),
                "kernel 60": lambda vf: kernel_shap(vf, 60, seed=3)}
 
     def explain_all():
@@ -298,7 +310,7 @@ def test_shapley_engines_match_golden_digests():
     vf = CoalitionValueFunction(model, x, B)
     explanations = {
         "exact": exact_shapley(vf),
-        "kernel full": kernel_shap(vf, "full"),
+        "kernel full": kernel_shap(vf, 1 << p),
         "kernel 20 seed 3": kernel_shap(vf, 20, seed=3),
         "kernel 60 seed 11": kernel_shap(vf, 60, seed=11),
     }
@@ -395,7 +407,7 @@ def test_additive_stump_forest_closed_form():
     assert np.max(np.abs(tree.phi - expected)) <= 1e-6
     exact = exact_shapley(CoalitionValueFunction(forest.predict_proba, x, B))
     assert np.max(np.abs(exact.phi - expected)) <= 1e-6
-    kernel = kernel_shap(CoalitionValueFunction(forest.predict_proba, x, B), "full")
+    kernel = kernel_shap(CoalitionValueFunction(forest.predict_proba, x, B), 1 << p)
     assert np.max(np.abs(kernel.phi - expected)) <= 1e-6
 
 
@@ -638,7 +650,7 @@ def test_explain_samples_dispatch_and_agreement():
     X = np.vstack([x, B[0]])
     tree_es = explain_samples(forest, X, B, method="tree")
     exact_es = explain_samples(forest, X, B, method="exact")
-    kernel_es = explain_samples(forest, X, B, method="kernel", coalition_budget="full")
+    kernel_es = explain_samples(forest, X, B, method="kernel", coalition_budget=1 << 5)
     for t, e, k in zip(tree_es, exact_es, kernel_es):
         assert np.max(np.abs(t.phi - e.phi)) <= 1e-9
         assert np.max(np.abs(k.phi - e.phi)) <= 1e-6
