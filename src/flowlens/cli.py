@@ -21,6 +21,7 @@ import os
 import sys
 from contextlib import contextmanager
 from importlib import import_module
+from itertools import islice
 from pathlib import Path
 
 from . import dataset as ds_mod
@@ -30,7 +31,8 @@ from .flows import (DEFAULT_ACTIVE_TIMEOUT, DEFAULT_ACTIVITY_TIMEOUT,
 from .pcap import ParseStats, PcapFormatError, parse_pcap, write_pcap
 from .schema import (FeatureSchema, FingerprintMismatch, ModelFormatError, SchemaError,
                      load_schema)
-from .util import FOREST_RULES, MLP_RULES, at_least, config_hash, finite_positive, meta_line
+from .util import (FOREST_RULES, MLP_RULES, LazyItems, at_least, config_hash, meta_line,
+                   timeout_seconds)
 
 # Names from numpy and the modules that import it, bound on first use by
 # __getattr__, so that extract and label never import numpy. Commands read
@@ -151,6 +153,23 @@ def _out_dir(path: str) -> Path:
     return p
 
 
+def _check_output(path: str, directory: bool):
+    """Refuse an output path that cannot be written, before the work that
+    fills it, and create nothing, so that a later input error leaves no
+    empty output behind: a directory where a file goes, a file whose
+    directory does not exist, or a file where a directory goes."""
+    p = Path(path)
+    if directory:
+        # The nearest part of the path that exists; _out_dir makes the rest.
+        found = next(d for d in (p, *p.parents) if d.exists())
+        if not found.is_dir():
+            raise CliError(f"cannot make directory {path}: {found} is not a directory")
+    elif p.is_dir():
+        raise CliError(f"cannot write {path}: it is a directory")
+    elif not p.parent.is_dir():
+        raise CliError(f"cannot write {path}: directory {p.parent} does not exist")
+
+
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -176,22 +195,26 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     st = Settings(args)
     st.seed()
-    idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, finite_positive)
-    active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, finite_positive)
-    activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, finite_positive)
-    # Features are computed on one thread. The constant stays in the hashed
-    # settings so that every feature CSV keeps its config_hash.
+    idle = st.get("idle_timeout", DEFAULT_IDLE_TIMEOUT, timeout_seconds)
+    active = st.get("active_timeout", DEFAULT_ACTIVE_TIMEOUT, timeout_seconds)
+    activity = st.get("activity_timeout", DEFAULT_ACTIVITY_TIMEOUT, timeout_seconds)
+    # A constant that says nothing about how features are computed (see
+    # parts.write_in_parts). It stays in the hashed settings so that every
+    # feature CSV keeps the config_hash it had when extract took --threads.
     st.effective["threads"] = 1
     st.effective["schema"] = args.schema
     schema = load_schema(args.schema)
+    _check_output(args.out, directory=False)
 
     pcap_path = _require_file(args.pcap, "pcap file")
     with open(pcap_path, "rb") as fh:
         stats = ParseStats()
         flows = assemble_flows(parse_pcap(fh, stats), idle_timeout=idle, active_timeout=active)
-    # Rows reach the writer as they are computed, so only one block of them
-    # is alive at a time, never the whole feature table.
-    rows = (compute_features(flow, schema, activity_timeout=activity) for flow in flows)
+    # Rows are computed a part at a time as the writer asks for them, so
+    # only one block of them is alive at a time, never the whole table.
+    rows = LazyItems(len(flows), lambda start, stop: (
+        compute_features(flow, schema, activity_timeout=activity)
+        for flow in islice(flows, start, stop)))
     meta = st.provenance()
     meta["schema"] = schema.name
     meta["schema_version"] = schema.version
@@ -206,6 +229,7 @@ def cmd_extract(args) -> int:
 def cmd_label(args) -> int:
     st = Settings(args)
     st.seed()
+    _check_output(args.out, directory=False)
     table, _ = ds_mod.read_feature_csv(_require_file(args.features, "feature CSV"))
     events = ds_mod.read_events_csv(_require_file(args.events, "ground truth CSV"))
     stats = ds_mod.LabelStats()
@@ -268,6 +292,7 @@ def _learning_rate_blamed(st: Settings):
 def cmd_train(args) -> int:
     st = Settings(args)
     seed = st.seed()
+    _check_output(args.out, directory=False)
     schema, X_raw, y = _read_labeled(args.data, both_classes=True)
     params = _model_params(st, seed)
 
@@ -310,6 +335,7 @@ def cmd_eval(args) -> int:
     seed = st.seed()
     timing_rows = st.get("timing_rows", 256, at_least(1))
     timing_repeats = st.get("timing_repeats", 3, at_least(1))
+    _check_output(args.out_dir, directory=True)
     schema, X, y = _read_labeled(args.data, both_classes=True)
     dataset_name = Path(args.data).stem
 
@@ -351,6 +377,7 @@ def cmd_explain(args) -> int:
     samples = st.get("samples", 500, at_least(1))
     background_size = st.get("background", 100, at_least(1))
     budget = st.get("budget", 2048, int)
+    _check_output(args.out_dir, directory=True)
     schema, X, _ = _read_labeled(args.data, both_classes=False)
     saved = _load_saved_model(st, args.model_file, schema)
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, TextIO
 
 from .schema import CIC, NETFLOW_V2, FeatureSchema, SchemaError, load_schema
-from .util import format_value, meta_line, parse_meta_line
+from .util import LazyItems, format_value, meta_line, parse_meta_line
 
 if TYPE_CHECKING:
     import numpy as np
@@ -310,15 +310,18 @@ def kfold_split(
 
 # --- CSV persistence ---------------------------------------------------------
 
-def write_feature_csv(path: str | Path, schema: FeatureSchema, rows: Iterable[list],
-                      meta: dict | None = None):
+def write_feature_csv(path: str | Path, schema: FeatureSchema,
+                      rows: LazyItems | Iterable[list], meta: dict | None = None):
     """Feature rows, one per flow, each aligned to ``schema``."""
     write_csv(path, schema.column_names, rows, meta)
 
 
 def write_labeled_csv(path: str | Path, ds: LabeledDataset, meta: dict | None = None):
     header = ds.schema.column_names + [LABEL_COLUMN, CATEGORY_COLUMN]
-    write_csv(path, header, zip(*ds.table.columns, ds.labels, ds.categories), meta)
+    columns = [*ds.table.columns, ds.labels, ds.categories]
+    rows = LazyItems(len(ds.labels), lambda start, stop: zip(
+        *(islice(column, start, stop) for column in columns)))
+    write_csv(path, header, rows, meta)
 
 
 # Rows formatted per writerows call: the cell strings of one block are alive
@@ -326,20 +329,34 @@ def write_labeled_csv(path: str | Path, ds: LabeledDataset, meta: dict | None = 
 _WRITE_BLOCK_ROWS = 64
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[list], meta: dict | None):
+def write_csv(path: str | Path, header: list[str], rows: LazyItems | Iterable[list],
+              meta: dict | None):
     """The provenance line (if ``meta``), the header, then each row's cells
-    through :func:`format_value`; a string cell is written as it is."""
+    through :func:`format_value`; a string cell is written as it is. Rows
+    given as a :class:`~flowlens.util.LazyItems` are written in parts
+    (:func:`~flowlens.parts.write_in_parts`), any others inline."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if meta:
             fh.write(meta_line(meta) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        rows = iter(rows)
-        while block := [list(map(format_value, row)) for row in islice(rows, _WRITE_BLOCK_ROWS)]:
-            if "\r" in "".join(map("".join, block)):
-                fh.writelines(map(_cr_quoted_line, block))
-            else:
-                writer.writerows(block)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        if isinstance(rows, LazyItems):
+            # Imported here, so that model stages, which write only small
+            # report tables, do not compile it.
+            from .parts import write_in_parts
+
+            write_in_parts(fh, rows, _write_rows, align=_WRITE_BLOCK_ROWS)
+        else:
+            _write_rows(fh, rows)
+
+
+def _write_rows(fh: TextIO, rows: Iterable[list]):
+    writer = csv.writer(fh, lineterminator="\n")
+    rows = iter(rows)
+    while block := [list(map(format_value, row)) for row in islice(rows, _WRITE_BLOCK_ROWS)]:
+        if "\r" in "".join(map("".join, block)):
+            fh.writelines(map(_cr_quoted_line, block))
+        else:
+            writer.writerows(block)
 
 
 def _cr_quoted_line(cells: list[str]) -> str:

@@ -350,11 +350,19 @@ def build_frame(rec: PacketRecord,
 def write_pcap(stream: BinaryIO, packets: Iterable[PacketRecord]):
     """Write packets as a little-endian microsecond pcap, Ethernet link type.
 
-    Raises ``ValueError`` at the first record :func:`build_frame` refuses,
-    with the records before it written.
+    A sequence of packets is framed in parts, in forked processes where
+    :func:`~flowlens.parts.write_in_parts` allows. Raises ``ValueError`` at
+    the first record :func:`build_frame` refuses, with the records before it
+    written.
     """
+    from .parts import write_in_parts  # compiled only where a pcap is written
+
+    stream.write(struct.pack("<IHHiIII", _MAGIC_MICROS, 2, 4, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET))
+    write_in_parts(stream, packets, _write_records)
+
+
+def _write_records(stream: BinaryIO, packets: Iterable[PacketRecord]):
     write = stream.write
-    write(struct.pack("<IHHiIII", _MAGIC_MICROS, 2, 4, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET))
     addresses: dict[str, tuple[bytes, int]] = {}  # each address seen in this call
     pack_head = _RECORD_HEAD.pack
     for rec in packets:

@@ -1,11 +1,13 @@
-"""Small shared helpers: value formatting, provenance metadata, hashing, and
-the rules that hold settings to their type and range."""
+"""Small shared helpers: value formatting, provenance metadata, hashing,
+items made on demand, and the rules that hold settings to their type and
+range."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 import sys
+from collections.abc import Callable, Iterable
 
 
 def format_value(v) -> str:
@@ -34,6 +36,19 @@ def format_value(v) -> str:
         raise ValueError(f"non-finite value {v!r} cannot be serialized")
     s = f"{v:.6f}".rstrip("0").rstrip(".")
     return "0" if s == "-0" else s  # a negative value that rounds to zero
+
+
+class LazyItems:
+    """``count`` items made on demand: ``between(start, stop)`` iterates the
+    items ``start`` to ``stop - 1``. The writers take them in parts
+    (:func:`flowlens.parts.write_in_parts`), so each part is made where it
+    is written and no list of all the items is built."""
+
+    __slots__ = ("count", "between")
+
+    def __init__(self, count: int, between: Callable[[int, int], Iterable]):
+        self.count = count
+        self.between = between
 
 
 def config_hash(config: dict) -> str:
@@ -73,6 +88,15 @@ def finite_positive(value) -> float:
     if not 0.0 < number < math.inf:
         raise ValueError("must be a finite number above 0")
     return number
+
+
+def timeout_seconds(value) -> float:
+    """A cast for a timeout: :func:`finite_positive` seconds whose count of
+    microseconds, which flow assembly and features work in, is finite too."""
+    seconds = finite_positive(value)
+    if not math.isfinite(seconds * 1_000_000):
+        raise ValueError("must be finite in microseconds: at most about 1.8e302 seconds")
+    return seconds
 
 
 def feature_fraction(value) -> float | str:

@@ -551,6 +551,10 @@ def test_extract_ignores_a_threads_config_entry(pipeline, tmp_path):
     ("--idle-timeout", "0"),
     ("--active-timeout", "-5"),
     ("--activity-timeout", "inf"),
+    # finite, but not in microseconds
+    ("--idle-timeout", "1e308"),
+    ("--active-timeout", "1e308"),
+    ("--activity-timeout", "1e308"),
 ])
 def test_bad_timeout_exits_2_naming_it(pipeline, tmp_path, capsys, flag, value):
     out = tmp_path / "features.csv"
@@ -751,26 +755,33 @@ def test_malformed_table_exits_2_naming_it(pipeline, tmp_path, capsys, case):
 
 # Every output flag given a path that cannot be written (a directory for
 # --out, an existing file for --out-dir), and a config file that is not
-# UTF-8 text: the path the message must name, and the command.
+# UTF-8 text: the path the message must name, the command, and the work the
+# command must not start.
 UNWRITABLE = {
-    "synth": ("file", ["synth", "--out-dir", "{file}"]),
-    "extract": ("dir", ["extract", "--pcap", "{pcap}", "--schema", "cic", "--out", "{dir}"]),
+    "synth": ("file", ["synth", "--out-dir", "{file}"], "flowlens.cli.generate_scenario"),
+    "extract": ("dir", ["extract", "--pcap", "{pcap}", "--schema", "cic", "--out", "{dir}"],
+                "flowlens.cli.parse_pcap"),
     "label": ("dir", ["label", "--features", "{features}", "--events", "{events}",
-                      "--out", "{dir}"]),
+                      "--out", "{dir}"], "flowlens.dataset.label_table"),
     "train": ("dir", ["train", "--data", "{labeled}", "--model", "rf", "--trees", "2",
-                      "--out", "{dir}"]),
+                      "--out", "{dir}"], "flowlens.cli.train_model"),
     "eval": ("file", ["eval", "--data", "{labeled}", "--model-file", "{model}",
-                      "--timing-rows", "2", "--timing-repeats", "1", "--out-dir", "{file}"]),
+                      "--timing-rows", "2", "--timing-repeats", "1", "--out-dir", "{file}"],
+             "flowlens.cli.evaluate_split"),
+    "eval_crossval": ("file", ["eval", "--data", "{labeled}", "--model", "rf",
+                               "--out-dir", "{file}/reports"], "flowlens.cli.crossval_evaluate"),
     "explain": ("file", ["explain", "--data", "{labeled}", "--model-file", "{model}",
-                         "--samples", "1", "--background", "2", "--out-dir", "{file}"]),
-    "report": ("file", ["report", "--rankings", "{ranking}", "--out-dir", "{file}"]),
-    "config": ("config", ["synth", "--config", "{config}", "--out-dir", "{dir}"]),
+                         "--samples", "1", "--background", "2", "--out-dir", "{file}"],
+                "flowlens.explain.explain_samples"),
+    "report": ("file", ["report", "--rankings", "{ranking}", "--out-dir", "{file}"],
+               "flowlens.report.ranking_chart"),
+    "config": ("config", ["synth", "--config", "{config}", "--out-dir", "{dir}"], None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNWRITABLE))
-def test_unusable_path_exits_2_naming_it(pipeline, tmp_path, capsys, case):
-    named, argv = UNWRITABLE[case]
+def test_unusable_path_exits_2_naming_it(pipeline, tmp_path, monkeypatch, capsys, case):
+    named, argv, work = UNWRITABLE[case]
     paths = {"file": tmp_path / "taken.txt", "dir": tmp_path / "taken",
              "config": tmp_path / "run.conf", "ranking": tmp_path / "ranking.csv",
              "pcap": pipeline["pcap"], "events": pipeline["events"],
@@ -781,11 +792,30 @@ def test_unusable_path_exits_2_naming_it(pipeline, tmp_path, capsys, case):
     paths["config"].write_bytes(b"seed=\xff\n")
     if case == "report":
         paths["ranking"].write_text(_ranking_csv(pipeline, tmp_path))
+    if work:
+        def never(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(work, never)
     capsys.readouterr()
     assert main(_fill(argv, **paths)) == 2
     assert str(paths[named]) in capsys.readouterr().err
     assert paths["file"].read_text() == "kept\n"
     assert not any(paths["dir"].iterdir())
+
+
+def test_output_is_not_created_before_an_input_error(pipeline, tmp_path):
+    """The output check creates nothing: a bad input found after it leaves
+    no file and no directory behind."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not,a,table\n")
+    assert main(["train", "--data", str(bad), "--model", "rf",
+                 "--out", str(tmp_path / "rf.json")]) == 2
+    assert main(["explain", "--data", str(bad), "--model-file", str(pipeline["model"]),
+                 "--out-dir", str(tmp_path / "out" / "explained")]) == 2
+    assert main(["extract", "--pcap", str(bad), "--schema", "cic",
+                 "--out", str(tmp_path / "features.csv")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def _count_past_int64(doc):
